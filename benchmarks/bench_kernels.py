@@ -58,7 +58,7 @@ def main() -> None:
 
     inputs = make_inputs(args.samples)
     rows = [("numpy", timeit(kernels._grid_numpy, inputs, args.repeat))]
-    if kernels._grid_numba is not None:
+    if kernels.HAVE_NUMBA:
         rows.append(("numba", timeit(kernels._grid_numba, inputs,
                                      args.repeat)))
     else:

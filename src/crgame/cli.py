@@ -404,7 +404,11 @@ def cmd_equilibrium(args) -> int:
 
     grid = build_belief_grid(eq_config)
     eq_rng = rngmod.stream(sim.master_seed, "equilibrium")
-    (pol1, pol2), diag = equilibrium_iteration(eq_config, model, rng=eq_rng)
+    try:
+        (pol1, pol2), diag = equilibrium_iteration(eq_config, model, rng=eq_rng)
+    except NonConvergenceError as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
 
     values = {}
     for firm, pols in (("firm1", pol1), ("firm2", pol2)):

@@ -46,6 +46,14 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class EquilibriumConfig:
+    """Belief grid, action grid and solver settings of the equilibrium solve.
+
+    ``tol`` is the sup-norm stopping tolerance of each best response.
+    ``max_iter`` bounds both the policy iterations of a best response and the
+    sweeps of each policy evaluation inside it (see ``value_iterate``).
+    ``sweep_cap`` bounds the rounds of alternating best responses.
+    """
+
     inventory_axis: tuple
     intercept_axis: tuple
     belief_axis: tuple
@@ -64,6 +72,10 @@ class EquilibriumConfig:
     def __post_init__(self):
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("discount factor must lie in [0, 1)")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         for name in ("inventory_axis", "intercept_axis", "belief_axis"):
             axis = np.asarray(getattr(self, name), dtype=float)
             if axis.size < 2:
@@ -282,15 +294,34 @@ def value_iterate(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
                   initial: np.ndarray | None = None,
                   dyn: DiscretizedDynamics | None = None
                   ) -> tuple[ValueFunction, GridPolicy, IterationDiagnostics]:
-    """Iterate the Bellman operator to its fixed point (sup-norm tolerance)."""
+    """Solve one firm's best response by modified policy iteration.
+
+    Starting from the greedy policy of ``initial`` (zeros by default), each
+    iteration evaluates the current policy by iterating its fixed-policy
+    operator until the sup-norm change is below ``config.tol``, then improves
+    it with one Bellman sweep. The diagnostics record, per iteration, that
+    sweep's ``sup|Tv - v|`` and the number of nodes whose action changed.
+    The solve stops when ``sup|Tv - v| < tol`` and returns ``Tv`` with its
+    greedy policy, as value iteration would, so the returned values lie
+    within ``tol * delta / (1 - delta)`` of the fixed point.
+
+    ``config.max_iter`` bounds both the number of policy iterations and the
+    sweeps of each policy evaluation; reaching either bound raises
+    ``NonConvergenceError``.
+    """
     firm_type = firm_type or model.firm_types[0]
     if dyn is None:
         dyn = build_dynamics(grid, config, model, firm_type,
                              _as_policy_pair(rival_policy))
-    values = np.zeros(grid.n_nodes) if initial is None else np.asarray(initial, float).copy()
+    n_nodes = dyn.reward.shape[0]
+    values = np.zeros(n_nodes) if initial is None else np.asarray(initial, float)
+    values, policy = bellman_core(values, dyn, config.delta)
+    weights = dyn.type_probs[:, :, None] * dyn.quad_weights[None, None, :]  # (N, B, K)
+    rows = np.arange(n_nodes)
     diag = IterationDiagnostics()
-    policy = np.zeros(grid.n_nodes, dtype=np.int64)
     for _ in range(config.max_iter):
+        values = _evaluate_policy(values, dyn.reward[rows, policy],
+                                  dyn.next_idx[rows, policy], weights, config, diag)
         new_vals, new_policy = bellman_core(values, dyn, config.delta)
         delta_sup = float(np.max(np.abs(new_vals - values)))
         diag.sup_norm_deltas.append(delta_sup)
@@ -300,8 +331,27 @@ def value_iterate(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
             diag.converged = True
             return ValueFunction(values), GridPolicy(policy), diag
     raise NonConvergenceError(
-        f"value iteration did not reach tol={config.tol} in {config.max_iter} sweeps",
-        diag)
+        f"policy iteration did not reach tol={config.tol} in {config.max_iter} "
+        "iterations", diag)
+
+
+def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarray,
+                     weights: np.ndarray, config: EquilibriumConfig,
+                     diag: IterationDiagnostics) -> np.ndarray:
+    """Iterate ``v <- r + delta * sum(w * v[next_idx])`` for one fixed policy.
+
+    ``reward`` is (N,), ``next_idx`` and ``weights`` are (N, B, K). Stops when
+    the sup-norm change is below ``config.tol``.
+    """
+    for _ in range(config.max_iter):
+        new_vals = reward + config.delta * np.einsum("nbk,nbk->n", values[next_idx],
+                                                     weights)
+        if float(np.max(np.abs(new_vals - values))) < config.tol:
+            return new_vals
+        values = new_vals
+    raise NonConvergenceError(
+        f"policy evaluation did not reach tol={config.tol} in {config.max_iter} "
+        "sweeps", diag)
 
 
 def myopic_policy(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,

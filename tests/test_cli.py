@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crgame import cli
+from crgame.equilibrium import NonConvergenceError
 
 FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
              "--threads", "2"]
@@ -117,6 +118,8 @@ def test_config_error_bad_value(outdir, tmp_path):
     cfg.write_text(json.dumps({"simulation": {"delta": 1.7}}))
     assert run_cli(["simulate", "--config", str(cfg), "--out", outdir,
                     *FAST_ARGS]) == 2
+    cfg.write_text(json.dumps({"equilibrium": {"tol": 0.0}}))
+    assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
 
 
 def test_io_error_unwritable_out(tmp_path):
@@ -158,6 +161,19 @@ def test_equilibrium_outputs(tmp_path):
     with open(os.path.join(out, "diagnostics.json")) as fh:
         diag = json.load(fh)
     assert (code == 0) == diag["converged"]
+
+
+def test_equilibrium_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NonConvergenceError("policy iteration did not reach tol")
+
+    monkeypatch.setattr(cli, "equilibrium_iteration", fail)
+    out = str(tmp_path / "eq")
+    assert run_cli(["equilibrium", "--out", out]) == cli.EXIT_NONCONVERGED
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "did not converge" in err
+    assert not os.path.exists(out)
 
 
 # ------------------------------------------------------------ reproducibility

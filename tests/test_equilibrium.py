@@ -132,13 +132,44 @@ def test_value_iteration_unique_fixed_point():
 
 
 def test_value_iteration_nonconvergence_raises():
-    config = make_config(max_iter=2)
+    # toy seed 1 needs two policy iterations and many evaluation sweeps
+    config = make_config(max_iter=1)
     model = make_model()
     grid = build_belief_grid(config)
     mid = GridPolicy(np.full(grid.n_nodes, 7))
     with pytest.raises(NonConvergenceError) as err:
-        value_iterate(grid, mid, config, model)
+        value_iterate(grid, mid, config, model, dyn=toy_dynamics(seed=1))
     assert err.value.diagnostics is not None
+
+
+def reference_value_iteration(dyn, delta, tol, max_sweeps=100_000):
+    """Plain Bellman sweeps from zero until the sup-norm change is below tol."""
+    values = np.zeros(dyn.reward.shape[0])
+    for _ in range(max_sweeps):
+        new_vals, greedy = bellman_core(values, dyn, delta)
+        if np.max(np.abs(new_vals - values)) < tol:
+            return new_vals, greedy
+        values = new_vals
+    raise AssertionError("reference value iteration did not converge")
+
+
+@pytest.mark.parametrize("toy_seed", [None, 0, 1, 2, 3, 4],
+                         ids=lambda s: "model" if s is None else f"toy{s}")
+def test_policy_iteration_matches_value_iteration(toy_seed):
+    config = make_config()
+    model = make_model()
+    grid = build_belief_grid(config)
+    mid = GridPolicy(np.full(grid.n_nodes, 7))
+    if toy_seed is None:
+        dyn = build_dynamics(grid, config, model, model.firm_types[0], (mid, mid))
+    else:
+        dyn = toy_dynamics(seed=toy_seed)
+    vf, pol, diag = value_iterate(grid, mid, config, model, dyn=dyn)
+    want_v, want_pol = reference_value_iteration(dyn, config.delta, config.tol)
+    assert diag.converged
+    np.testing.assert_array_equal(pol.actions, want_pol)
+    bound = config.tol * config.delta / (1.0 - config.delta)
+    assert np.max(np.abs(vf.values - want_v)) < bound
 
 
 def test_delta_zero_value_iteration_is_myopic():
@@ -201,6 +232,9 @@ def test_grid_axes_validation():
         make_config(inventory_axis=(10.0, 0.0))
     with pytest.raises(ValueError):
         make_config(delta=1.0)
+    for bad in (dict(tol=0.0), dict(tol=-1e-6), dict(max_iter=0)):
+        with pytest.raises(ValueError):
+            make_config(**bad)
 
 
 def test_node_budget_enforced():
