@@ -1,8 +1,8 @@
 """Two-firm repeated inventory-pricing game with Bayesian demand learning.
 
 Simulation engine, credible-risk policies, belief-grid equilibrium solver,
-and a Monte Carlo experiment harness, with numba-accelerated hot kernels
-and a pure-numpy fallback (select via the CRGAME_BACKEND env var).
+and a Monte Carlo experiment harness; the hot grid scoring is one numpy
+kernel.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +16,7 @@ from .learning import (ObservationRecord, PosteriorDegenerateError,
                        posterior_mse, sample_truncated_latent,
                        truncated_normal_lower, truncated_normal_upper,
                        update_type_belief)
-from .policy import (POLICIES, ActionScore, BeliefState, PolicyConfig,
+from .policy import (POLICIES, BeliefState, PolicyConfig,
                      credible_risk_score, expected_profit_closed_form,
                      expected_sales_closed_form, forecast_rival_action,
                      predictive_draws, predictive_profit_moments,

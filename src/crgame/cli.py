@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -228,9 +229,11 @@ def _objective_surface_rows(config: SimConfig):
         demand_posterior=config.prior_hyper(),
         rival_type_belief=TypeBelief(np.array([0.5, 0.5])))
     surf_rng = rngmod.stream(config.master_seed, "objective-surface")
-    _, scores = select_action(state, pcfg, "proposed-credible-risk", surf_rng)
-    for sc in scores:
-        yield (sc.action.price, sc.action.quantity, sc.mean, sc.sd, sc.score)
+    _, (means, sds, scores) = select_action(state, pcfg, "proposed-credible-risk",
+                                            surf_rng)
+    actions = itertools.product(pcfg.price_grid, pcfg.quantity_grid)
+    for (price, qty), mean, sd, score in zip(actions, means, sds, scores):
+        yield (float(price), float(qty), mean, sd, score)
 
 
 def cmd_simulate(args) -> int:
@@ -398,11 +401,11 @@ def cmd_equilibrium(args) -> int:
     try:
         cfg = load_config(args.config, {"master_seed": args.seed})
         eq_config, model, sim = build_eq_inputs(cfg)
-    except ConfigError as exc:
+        grid = build_belief_grid(eq_config)
+    except ValueError as exc:  # a ConfigError, or axes build_belief_grid rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    grid = build_belief_grid(eq_config)
     eq_rng = rngmod.stream(sim.master_seed, "equilibrium")
     try:
         (pol1, pol2), diag = equilibrium_iteration(eq_config, model, rng=eq_rng)

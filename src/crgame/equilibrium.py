@@ -379,7 +379,6 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     policies = [[GridPolicy(np.full(grid.n_nodes, mid, dtype=np.int64))
                  for _ in range(n_types)] for _ in (0, 1)]
     diag = IterationDiagnostics()
-    hyper0 = model.hyper
 
     for sweep in range(config.sweep_cap):
         changes = 0
@@ -400,9 +399,6 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
             break
         if config.refresh_trajectories > 0 and rng is not None:
             model = _refresh_hyper(grid, config, model, policies, rng)
-    else:
-        model = EquilibriumModel(model.firm_types, model.rival_types, hyper0,
-                                 model.salvage_on)
     return (tuple(policies[0]), tuple(policies[1])), diag
 
 

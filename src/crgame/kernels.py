@@ -1,10 +1,8 @@
-"""Hot numeric kernels for grid-wide predictive profit moments.
+"""Hot numeric kernel for grid-wide predictive profit moments.
 
 The inner loop of every policy decision scores the full price x quantity
-grid against a shared set of posterior-predictive draws. Two interchangeable
-implementations are provided: a numba ``@njit`` kernel (default when numba
-imports) and a pure-numpy vectorized fallback. Select explicitly with the
-``CRGAME_BACKEND`` environment variable (``numba`` or ``numpy``).
+grid against a shared set of posterior-predictive draws, as one numpy
+broadcast over (price, quantity, draw).
 
 Action ordering is price-major (price ascending, quantity ascending within a
 price), which makes a first-occurrence argmax over scores equivalent to the
@@ -13,32 +11,17 @@ lexicographic tie-break used by the policies.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+__all__ = ["profit_moments_grid"]
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-__all__ = ["backend", "profit_moments_grid", "HAVE_NUMBA"]
+# Kept because perfbench/child.py records it in every result; numba is not used.
+HAVE_NUMBA = False
 
 
 def backend() -> str:
-    """Active kernel backend, resolved from CRGAME_BACKEND at call time."""
-    env = os.environ.get("CRGAME_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("CRGAME_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env:
-        raise RuntimeError(f"unknown CRGAME_BACKEND value {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
+    # Kept because perfbench/child.py records it in every result.
+    return "numpy"
 
 
 def profit_moments_grid(coef, sigma, z, prices, quantities, inventory,
@@ -58,72 +41,17 @@ def profit_moments_grid(coef, sigma, z, prices, quantities, inventory,
     quantities = np.ascontiguousarray(quantities, dtype=np.float64)
     if coef.shape[0] < 2:
         raise ValueError("need at least 2 draws to estimate a standard deviation")
-    args = (coef, sigma, z, prices, quantities, float(inventory),
-            float(rival_price), 1.0 if rival_stockout else 0.0, float(cost),
-            float(holding), float(salvage), bool(salvage_on))
-    if backend() == "numba":
-        return _grid_numba(*args)
-    return _grid_numpy(*args)
-
-
-def _grid_numpy(coef, sigma, z, prices, quantities, inventory, rival_price,
-                rival_out, cost, holding, salvage, salvage_on):
-    base = coef[:, 0] + coef[:, 2] * rival_price + coef[:, 3] * rival_out + sigma * z
+    rival_out = 1.0 if rival_stockout else 0.0
+    base = (coef[:, 0] + coef[:, 2] * float(rival_price) + coef[:, 3] * rival_out
+            + sigma * z)
     demand = base[None, :] + np.outer(prices, coef[:, 1])        # (P, n)
-    stock = inventory + quantities                               # (Q,)
+    stock = float(inventory) + quantities                        # (Q,)
     sales = np.clip(demand[:, None, :], 0.0, stock[None, :, None])  # (P, Q, n)
     left = stock[None, :, None] - sales
-    net_hold = holding - (salvage if salvage_on else 0.0)
+    net_hold = float(holding) - (float(salvage) if salvage_on else 0.0)
     profit = (prices[:, None, None] * sales
-              - cost * quantities[None, :, None]
+              - float(cost) * quantities[None, :, None]
               - net_hold * left)
     means = profit.mean(axis=2)
     sds = profit.std(axis=2, ddof=1)
     return means.reshape(-1), sds.reshape(-1)
-
-
-def _grid_loops(coef, sigma, z, prices, quantities, inventory, rival_price,
-                rival_out, cost, holding, salvage, salvage_on):
-    n = coef.shape[0]
-    n_p = prices.shape[0]
-    n_q = quantities.shape[0]
-    means = np.empty(n_p * n_q)
-    sds = np.empty(n_p * n_q)
-    base = np.empty(n)
-    for i in range(n):
-        base[i] = (coef[i, 0] + coef[i, 2] * rival_price
-                   + coef[i, 3] * rival_out + sigma[i] * z[i])
-    net_hold = holding - (salvage if salvage_on else 0.0)
-    profit = np.empty(n)
-    k = 0
-    for ip in range(n_p):
-        p = prices[ip]
-        for iq in range(n_q):
-            q = quantities[iq]
-            stock = inventory + q
-            acc = 0.0
-            for i in range(n):
-                d = base[i] + coef[i, 1] * p
-                sold = d
-                if sold < 0.0:
-                    sold = 0.0
-                elif sold > stock:
-                    sold = stock
-                pr = p * sold - cost * q - net_hold * (stock - sold)
-                profit[i] = pr
-                acc += pr
-            mean = acc / n
-            acc2 = 0.0
-            for i in range(n):
-                dev = profit[i] - mean
-                acc2 += dev * dev
-            means[k] = mean
-            sds[k] = np.sqrt(acc2 / (n - 1))
-            k += 1
-    return means, sds
-
-
-if HAVE_NUMBA:
-    _grid_numba = njit(cache=True, nogil=True)(_grid_loops)
-else:  # pragma: no cover
-    _grid_numba = _grid_loops

@@ -9,7 +9,7 @@ decision, so selections are deterministic given (state, config, stream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -22,7 +22,6 @@ __all__ = [
     "POLICIES",
     "BeliefState",
     "PolicyConfig",
-    "ActionScore",
     "credible_risk_score",
     "expected_sales_closed_form",
     "expected_sales_floored",
@@ -80,14 +79,6 @@ class PolicyConfig:
             raise ValueError(f"unknown salvage mode {self.salvage_mode!r}")
         if self.rival_forecast not in RIVAL_FORECAST_RULES:
             raise ValueError(f"unknown rival forecast rule {self.rival_forecast!r}")
-
-
-@dataclass(frozen=True)
-class ActionScore:
-    action: Action
-    mean: float
-    sd: float
-    score: float
 
 
 def credible_risk_score(mean: float, sd: float, kappa: float) -> float:
@@ -150,10 +141,9 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
         sigma = _point_sigma(state.demand_posterior, config)
         m = state.demand_posterior.m
         own_last = _midpoint_action(config)  # the rival's view of us, absent history
-        total = None
-        for w, rtype in zip(state.rival_type_belief.probs, config.rival_types):
-            scores = _closed_form_grid_scores(m, sigma, config, own_last.price, rtype)
-            total = w * scores if total is None else total + w * scores
+        tables = _closed_form_grid_scores(m, sigma, config, own_last.price,
+                                          config.rival_types)
+        total = (state.rival_type_belief.probs[:, None] * tables).sum(axis=0)
         k = int(np.argmax(total))
         return _grid_action(config, k)
     if config.rival_forecast == "last-action" and state.last_rival_action is not None:
@@ -172,22 +162,32 @@ def _point_sigma(hyper: PosteriorHyper, config: PolicyConfig) -> float:
 
 
 def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
-                             rival_price: float, firm_type: FirmType,
+                             rival_price: float, firm_types,
                              inventory: float = 0.0,
                              rival_stockout: bool = False) -> np.ndarray:
-    """Expected profit per grid action at point coefficients (price-major)."""
+    """Expected profit per grid action at point coefficients, one row per type.
+
+    Returns a (len(firm_types), P * Q) array, price-major. Expected sales do
+    not depend on the type, so all rows share them. The arithmetic follows
+    ``expected_profit_closed_form`` operation for operation, so each cell
+    equals the scalar closed form exactly.
+    """
+    prices = np.asarray(config.price_grid, dtype=float)[:, None]      # (P, 1)
+    quantities = np.asarray(config.quantity_grid, dtype=float)[None, :]  # (1, Q)
     salvage_on = config.salvage_mode == "per-period"
-    scores = np.empty(len(config.price_grid) * len(config.quantity_grid))
-    k = 0
-    for p in config.price_grid:
-        mu = (coef_mean[0] + coef_mean[1] * p + coef_mean[2] * rival_price
-              + coef_mean[3] * (1.0 if rival_stockout else 0.0))
-        for q in config.quantity_grid:
-            scores[k] = expected_profit_closed_form(mu, sigma, q, p, firm_type,
-                                                    inventory=inventory,
-                                                    salvage_on=salvage_on)
-            k += 1
-    return scores
+    mu = (coef_mean[0] + coef_mean[1] * prices + coef_mean[2] * rival_price
+          + coef_mean[3] * (1.0 if rival_stockout else 0.0))
+    stock = inventory + quantities
+    exp_sales = expected_sales_floored(mu, sigma, stock)              # (P, Q)
+    exp_left = stock - exp_sales
+    rows = []
+    for firm_type in firm_types:
+        profit = (prices * exp_sales - firm_type.c * quantities
+                  - firm_type.h * exp_left)
+        if salvage_on:
+            profit += firm_type.s * exp_left
+        rows.append(profit.reshape(-1))
+    return np.stack(rows)
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
@@ -208,12 +208,17 @@ def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
 def score_action_grid(state: BeliefState, rival_forecast: Action,
                       config: PolicyConfig, draws) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo profit mean/sd for every grid action under shared draws."""
+    return _profit_moments(state, rival_forecast, config, draws,
+                           config.price_grid, config.quantity_grid)
+
+
+def _profit_moments(state: BeliefState, rival_forecast: Action,
+                    config: PolicyConfig, draws, prices, quantities):
     coef, sig, z = draws
     salvage_on = config.salvage_mode == "per-period"
     return kernels.profit_moments_grid(
         coef, sig, z,
-        np.asarray(config.price_grid, dtype=float),
-        np.asarray(config.quantity_grid, dtype=float),
+        np.asarray(prices, dtype=float), np.asarray(quantities, dtype=float),
         state.inventory, rival_forecast.price, state.last_rival_stockout,
         state.own_type.c, state.own_type.h, state.own_type.s, salvage_on)
 
@@ -226,12 +231,8 @@ def predictive_profit_moments(state: BeliefState, candidate: Action,
         raise ValueError("predictive_samples must be >= 2")
     draws = predictive_draws(state.demand_posterior, config.predictive_samples,
                              rng, config.sigma_mode, config.fixed_sigma)
-    single = PolicyConfig(
-        price_grid=(candidate.price,), quantity_grid=(candidate.quantity,),
-        kappa=config.kappa, predictive_samples=config.predictive_samples,
-        salvage_mode=config.salvage_mode, sigma_mode=config.sigma_mode,
-        fixed_sigma=config.fixed_sigma, rival_forecast=config.rival_forecast)
-    means, sds = score_action_grid(state, rival_forecast, single, draws)
+    means, sds = _profit_moments(state, rival_forecast, config, draws,
+                                 (candidate.price,), (candidate.quantity,))
     return float(means[0]), float(sds[0])
 
 
@@ -244,16 +245,17 @@ def static_prior_scores(prior_mean, sigma, config: PolicyConfig,
     """
     rival_price = _midpoint_action(config).price
     return _closed_form_grid_scores(np.asarray(prior_mean, dtype=float), sigma,
-                                    config, rival_price, firm_type)
+                                    config, rival_price, (firm_type,))[0]
 
 
 def select_action(state: BeliefState, config: PolicyConfig, policy: str,
-                  rng: np.random.Generator,
-                  static_prior_mean=None) -> tuple[Action, list[ActionScore]]:
-    """Argmax action for the given policy, with per-action diagnostics.
+                  rng: np.random.Generator, static_prior_mean=None
+                  ) -> tuple[Action, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Argmax action for the given policy, with the grid it was chosen from.
 
-    Ties break lexicographically (lower price, then lower quantity) via
-    price-major action ordering and first-occurrence argmax.
+    The second element is the (means, sds, scores) arrays over the grid,
+    price-major. Ties break lexicographically (lower price, then lower
+    quantity) via price-major action ordering and first-occurrence argmax.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -273,10 +275,4 @@ def select_action(state: BeliefState, config: PolicyConfig, policy: str,
                                  rng, config.sigma_mode, config.fixed_sigma)
         means, sds = score_action_grid(state, rival, config, draws)
     scores = means - kappa * sds
-    best = int(np.argmax(scores))
-    diagnostics = [
-        ActionScore(_grid_action(config, k), float(means[k]), float(sds[k]),
-                    float(scores[k]))
-        for k in range(scores.size)
-    ]
-    return _grid_action(config, best), diagnostics
+    return _grid_action(config, int(np.argmax(scores))), (means, sds, scores)

@@ -165,21 +165,17 @@ def _rival_action_model(config: SimConfig, posterior: PosteriorHyper,
     sigma = pcfg.fixed_sigma if config.sigma_mode == "fixed" else posterior.noise_sd()
     types = (config.firm_type(config.cost_low), config.firm_type(config.cost_high))
     n_q = len(config.quantity_grid)
-    tables = []
-    for rtype in types:
-        scores = _closed_form_grid_scores(posterior.m, sigma, pcfg,
-                                          own_last_price, rtype,
-                                          inventory=rival_inventory)
-        logits = scores / config.type_likelihood_temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        tables.append(probs / probs.sum())
+    scores = _closed_form_grid_scores(posterior.m, sigma, pcfg, own_last_price,
+                                      types, inventory=rival_inventory)
+    logits = scores / config.type_likelihood_temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
 
     def model(action: Action) -> np.ndarray:
         ip = config.price_grid.index(action.price)
         iq = config.quantity_grid.index(action.quantity)
-        k = ip * n_q + iq
-        return np.array([tables[0][k], tables[1][k]])
+        return probs[:, ip * n_q + iq]
 
     return model
 

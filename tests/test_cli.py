@@ -120,6 +120,8 @@ def test_config_error_bad_value(outdir, tmp_path):
                     *FAST_ARGS]) == 2
     cfg.write_text(json.dumps({"equilibrium": {"tol": 0.0}}))
     assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
+    cfg.write_text(json.dumps({"equilibrium": {"belief_axis": [0.0, 0.5, 1.5]}}))
+    assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
 
 
 def test_io_error_unwritable_out(tmp_path):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from crgame import kernels, rng as rngmod
+from crgame import rng as rngmod
 from crgame.learning import PosteriorHyper, TypeBelief
 from crgame.market import Action, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
-                           credible_risk_score, expected_profit_closed_form,
+                           _closed_form_grid_scores, credible_risk_score,
+                           expected_profit_closed_form,
                            expected_sales_closed_form, expected_sales_floored,
                            forecast_rival_action, predictive_draws,
                            predictive_profit_moments, score_action_grid,
@@ -80,46 +81,70 @@ def _draws(n=300, seed=3):
     return predictive_draws(hyper, n, rng, sigma_mode="fixed", fixed_sigma=4.5)
 
 
-def test_backends_agree():
-    coef, sig, z = _draws()
-    args = (coef, sig, z, np.array(PRICE_GRID), np.array(QTY_GRID),
-            5.0, 12.0, True, 6.0, 0.8, 1.5, True)
-    means_np, sds_np = kernels._grid_numpy(*args)
-    means_lp, sds_lp = kernels._grid_loops(*args)
-    np.testing.assert_allclose(means_np, means_lp, rtol=1e-9)
-    np.testing.assert_allclose(sds_np, sds_lp, rtol=1e-9)
-    if kernels.HAVE_NUMBA:
-        means_nb, sds_nb = kernels._grid_numba(*args)
-        np.testing.assert_allclose(means_np, means_nb, rtol=1e-9)
-        np.testing.assert_allclose(sds_np, sds_nb, rtol=1e-9)
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("CRGAME_BACKEND", "numpy")
-    assert kernels.backend() == "numpy"
-    monkeypatch.setenv("CRGAME_BACKEND", "bogus")
-    with pytest.raises(RuntimeError):
-        kernels.backend()
-
-
 def test_grid_moments_match_single_candidate():
-    config = make_config()
-    state = make_state(inventory=5.0)
     rival = Action(40.0, 12.0)
-    draws = _draws(n=config.predictive_samples, seed=9)
-    means, sds = score_action_grid(state, rival, config, draws)
-    # recompute one cell by hand from the same draw set
+    draws = _draws(n=make_config().predictive_samples, seed=9)
     coef, sig, z = draws
-    q, p = QTY_GRID[3], PRICE_GRID[2]
-    x = np.array([1.0, p, rival.price, 0.0])
-    demand = coef @ x + sig * z
-    stock = state.inventory + q
-    sales = np.minimum(np.maximum(demand, 0.0), stock)
-    leftover = stock - sales
-    profit = p * sales - LOW.c * q - LOW.h * leftover + LOW.s * leftover
-    flat = 2 * len(QTY_GRID) + 3  # price-major layout
-    assert means[flat] == pytest.approx(profit.mean(), rel=1e-9)
-    assert sds[flat] == pytest.approx(profit.std(ddof=1), rel=1e-9)
+    for salvage_mode in ("per-period", "terminal"):
+        config = make_config(salvage_mode=salvage_mode)
+        salvage = LOW.s if salvage_mode == "per-period" else 0.0
+        for rival_stockout in (False, True):
+            state = make_state(inventory=5.0)
+            state.last_rival_stockout = rival_stockout
+            means, sds = score_action_grid(state, rival, config, draws)
+            # recompute every cell by hand from the same draw set
+            for ip, p in enumerate(PRICE_GRID):
+                x = np.array([1.0, p, rival.price, float(rival_stockout)])
+                demand = coef @ x + sig * z
+                for iq, q in enumerate(QTY_GRID):
+                    stock = state.inventory + q
+                    sales = np.minimum(np.maximum(demand, 0.0), stock)
+                    leftover = stock - sales
+                    profit = (p * sales - LOW.c * q - LOW.h * leftover
+                              + salvage * leftover)
+                    flat = ip * len(QTY_GRID) + iq  # price-major layout
+                    assert means[flat] == pytest.approx(profit.mean(), rel=1e-9)
+                    assert sds[flat] == pytest.approx(profit.std(ddof=1), rel=1e-9)
+
+
+def test_closed_form_grid_scores_match_scalar_loop():
+    coef_mean = np.array([38.0, -2.7, 0.9, 5.5])
+    high = FirmType(c=10.0, h=0.8, s=1.5)
+    for salvage_mode in ("per-period", "terminal"):
+        config = make_config(salvage_mode=salvage_mode)
+        for inventory in (0.0, 7.25):
+            for rival_stockout in (False, True):
+                got = _closed_form_grid_scores(
+                    coef_mean, 4.5, config, 11.0, (LOW, high),
+                    inventory=inventory, rival_stockout=rival_stockout)
+                # scalar oracle: one closed-form call per type and grid cell
+                want = np.array([
+                    [expected_profit_closed_form(
+                        coef_mean[0] + coef_mean[1] * p + coef_mean[2] * 11.0
+                        + coef_mean[3] * (1.0 if rival_stockout else 0.0),
+                        4.5, q, p, ftype, inventory=inventory,
+                        salvage_on=salvage_mode == "per-period")
+                     for p in PRICE_GRID for q in QTY_GRID]
+                    for ftype in (LOW, high)])
+                np.testing.assert_array_equal(got, want)
+
+
+def test_type_weighted_forecast_is_argmax_of_weighted_scores():
+    high = FirmType(c=10.0, h=0.8, s=1.5)
+    config = make_config(rival_forecast="type-weighted", rival_types=(LOW, high))
+    state = make_state()
+    for probs in ([0.5, 0.5], [0.9, 0.1], [0.05, 0.95]):
+        state.rival_type_belief = TypeBelief(np.array(probs))
+        m = state.demand_posterior.m
+        total = sum(
+            w * np.array([expected_profit_closed_form(
+                m[0] + m[1] * p + m[2] * 12.0, 4.5, q, p, ftype)
+                for p in PRICE_GRID for q in QTY_GRID])
+            for w, ftype in zip(probs, (LOW, high)))
+        k = int(np.argmax(total))
+        want = Action(quantity=QTY_GRID[k % len(QTY_GRID)],
+                      price=PRICE_GRID[k // len(QTY_GRID)])
+        assert forecast_rival_action(state, config) == want
 
 
 # ------------------------------------------------------------- select_action
@@ -195,10 +220,18 @@ def test_forecast_rules():
 def test_predictive_profit_moments_consistency():
     config = make_config()
     state = make_state()
-    m, s = predictive_profit_moments(state, Action(20.0, 12.0),
-                                     Action(40.0, 12.0), config,
+    candidate, rival = Action(20.0, 12.0), Action(40.0, 12.0)
+    m, s = predictive_profit_moments(state, candidate, rival, config,
                                      rngmod.stream(107, "pm"))
     assert np.isfinite(m) and s > 0.0
+    # the same cell of the full grid, scored from the same stream
+    draws = predictive_draws(state.demand_posterior, config.predictive_samples,
+                             rngmod.stream(107, "pm"), config.sigma_mode,
+                             config.fixed_sigma)
+    means, sds = score_action_grid(state, rival, config, draws)
+    flat = (PRICE_GRID.index(candidate.price) * len(QTY_GRID)
+            + QTY_GRID.index(candidate.quantity))
+    assert (m, s) == (means[flat], sds[flat])
 
 
 def test_unknown_policy_rejected():
