@@ -414,16 +414,17 @@ def cmd_equilibrium(args) -> int:
         return EXIT_NONCONVERGED
 
     values = {}
-    for firm, pols in (("firm1", pol1), ("firm2", pol2)):
+    # each firm's best response is to the rival's policy pair
+    for firm, rival_pols in (("firm1", pol2), ("firm2", pol1)):
         try:
-            vf, _, _ = value_iterate(grid, pols, eq_config, model,
+            vf, _, _ = value_iterate(grid, rival_pols, eq_config, model,
                                      firm_type=model.firm_types[0 if firm == "firm1" else 1])
             values[firm] = vf.values
         except NonConvergenceError as exc:
             values[firm] = np.full(grid.n_nodes, np.nan)
 
     check_rng = rngmod.stream(sim.master_seed, "contraction")
-    report = contraction_check(grid, model, pol1,
+    report = contraction_check(grid, model, pol2,
                                int(cfg["equilibrium"]["contraction_trials"]),
                                check_rng, eq_config)
 

@@ -6,6 +6,12 @@ Uncensored observations update in closed form (rank-one, order-invariant up
 to batch equivalence). Censored observations are handled either by a single
 truncated-normal imputation per record or by a Gibbs refresh over retained
 history.
+
+A Gibbs refresh runs hundreds of sweeps over a few dozen records, so its
+censored rows are split out once per refresh (``_CensoredRows``) and each
+sweep draws all their latents in one small-array pass. That pass returns
+exactly the draws of the general samplers ``truncated_normal_lower`` and
+``truncated_normal_upper``, which it calls only for a far-tail element.
 """
 
 from __future__ import annotations
@@ -253,7 +259,7 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
         return _gibbs_refresh_fixed(prior, history, sweeps, rng, burn_in,
                                     float(noise_sd))
 
-    X, y, stocks, cens, floored = _history_arrays(history)
+    X, y, cens = _history_arrays(history)
     n, p = X.shape
 
     S0_inv = np.linalg.inv(prior.S)
@@ -268,17 +274,10 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
 
     latent = y.copy()
     for it in range(burn_in + sweeps):
-        if cens.any():
-            mu_c = X[cens] @ psi
-            latent[cens] = truncated_normal_lower(
-                mu_c, np.full(mu_c.shape, np.sqrt(sigma2)), stocks[cens], rng)
-        if floored.any():
-            mu_f = X[floored] @ psi
-            latent[floored] = truncated_normal_upper(
-                mu_f, np.full(mu_f.shape, np.sqrt(sigma2)),
-                np.zeros(mu_f.shape), rng)
+        sd = np.sqrt(sigma2)
+        latent[cens.rows] = cens.draw(psi, sd, rng)
         mn = Sn @ (S0_inv_m0 + X.T @ latent)
-        psi = mn + np.sqrt(sigma2) * (Ln @ rng.standard_normal(p))
+        psi = mn + sd * (Ln @ rng.standard_normal(p))
         resid = latent - X @ psi
         quad = float(resid @ resid + (psi - prior.m) @ S0_inv @ (psi - prior.m))
         sigma2 = (prior.b + 0.5 * quad) / rng.gamma(prior.a + 0.5 * (n + p))
@@ -298,21 +297,63 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     return PosteriorHyper(m, S, a, b)
 
 
+class _CensoredRows:
+    """The censored (stockout) and floored (zero-sales) rows of a history,
+    split out once per Gibbs refresh, and the sweep's draw of their latents.
+
+    A floored latent is drawn by the reflection of ``truncated_normal_upper``:
+    its negation is drawn above -0 and the result negated.
+    """
+
+    def __init__(self, X: np.ndarray, history: list[ObservationRecord]):
+        cens = [i for i, r in enumerate(history) if r.censored]
+        floored = [i for i, r in enumerate(history)
+                   if r.floored and not r.censored]
+        self.rows = np.array(cens + floored, dtype=np.intp)
+        self.n_cens = len(cens)
+        self.Xc, self.Xf = X[cens], X[floored]
+        self.lower = np.array([history[i].stock for i in cens]
+                              + [-0.0] * len(floored))
+        self.sign = np.array([1.0] * len(cens) + [-1.0] * len(floored))
+
+    def draw(self, psi: np.ndarray, sd: float,
+             rng: np.random.Generator) -> np.ndarray:
+        """Latent demand of ``rows`` given coefficients ``psi`` and noise sd.
+
+        Bit for bit what ``truncated_normal_lower`` on the censored rows and
+        then ``truncated_normal_upper`` at 0 on the floored rows return, with
+        the same generator state after, in one pass over both: on the body of
+        the distribution the general sampler takes one uniform per element
+        and the arithmetic is elementwise. Past the tail cut it draws extra
+        variates after each call's uniforms, so then both calls are made.
+        """
+        k = self.n_cens
+        # two products, not one stacked matrix: the BLAS kernel may sum a
+        # row's dot product in another order at another row position
+        mean = np.concatenate((self.Xc @ psi, -(self.Xf @ psi)))
+        alpha = (self.lower - mean) / sd
+        if (alpha > _TAIL_CUT).any():
+            out = np.concatenate((
+                truncated_normal_lower(mean[:k], sd, self.lower[:k], rng),
+                truncated_normal_lower(mean[k:], sd, self.lower[k:], rng)))
+        else:
+            u = 1.0 - rng.random(len(alpha))
+            z = -ndtri(u * ndtr(-alpha))
+            out = np.maximum(mean + sd * z, self.lower)
+        return self.sign * out
+
+
 def _history_arrays(history: list[ObservationRecord]):
     X = np.stack([np.asarray(r.covariate, dtype=float) for r in history])
     y = np.array([r.sales for r in history], dtype=float)
-    stocks = np.array([r.stock for r in history], dtype=float)
-    cens = np.array([r.censored for r in history], dtype=bool)
-    floored = np.array([r.floored and not r.censored for r in history],
-                       dtype=bool)
-    return X, y, stocks, cens, floored
+    return X, y, _CensoredRows(X, history)
 
 
 def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord],
                          sweeps: int, rng: np.random.Generator,
                          burn_in: int, noise_sd: float) -> PosteriorHyper:
     """Known-variance data-augmentation chain; only coefficients are latent."""
-    X, y, stocks, cens, floored = _history_arrays(history)
+    X, y, cens = _history_arrays(history)
     n, p = X.shape
     s2 = noise_sd**2
 
@@ -324,15 +365,8 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     psi = prior.m.copy()
     coef_draws = np.empty((sweeps, p))
     latent = y.copy()
-    sd_vec = np.full(int(cens.sum()), noise_sd)
-    sd_vec_f = np.full(int(floored.sum()), noise_sd)
     for it in range(burn_in + sweeps):
-        if cens.any():
-            latent[cens] = truncated_normal_lower(X[cens] @ psi, sd_vec,
-                                                  stocks[cens], rng)
-        if floored.any():
-            latent[floored] = truncated_normal_upper(
-                X[floored] @ psi, sd_vec_f, np.zeros(sd_vec_f.shape), rng)
+        latent[cens.rows] = cens.draw(psi, noise_sd, rng)
         mn = Sn @ (mn_base + X.T @ latent / s2)
         psi = mn + Ln @ rng.standard_normal(p)
         if it >= burn_in:

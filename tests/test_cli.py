@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from crgame import cli
+from crgame import cli, equilibrium
 from crgame.equilibrium import NonConvergenceError
 
 FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
@@ -197,3 +197,32 @@ def test_config_hash_stable_under_key_order():
     h1 = cli.config_hash({"b": 1, "a": [1, 2]})
     h2 = cli.config_hash({"a": [1, 2], "b": 1})
     assert h1 == h2 and len(h1) == 64
+
+
+def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
+                                                                monkeypatch):
+    solved = {}
+    rivals = []
+
+    def iteration(*args, **kwargs):
+        solved["pols"], diag = equilibrium.equilibrium_iteration(*args, **kwargs)
+        return solved["pols"], diag
+
+    def value_iterate(grid, rival_policy, *args, **kwargs):
+        rivals.append(("values", rival_policy))
+        return equilibrium.value_iterate(grid, rival_policy, *args, **kwargs)
+
+    def contraction_check(grid, model, rival_policy, *args, **kwargs):
+        rivals.append(("contraction", rival_policy))
+        return equilibrium.contraction_check(grid, model, rival_policy,
+                                                 *args, **kwargs)
+
+    monkeypatch.setattr(cli, "equilibrium_iteration", iteration)
+    monkeypatch.setattr(cli, "value_iterate", value_iterate)
+    monkeypatch.setattr(cli, "contraction_check", contraction_check)
+    assert run_cli(["equilibrium", "--out", str(tmp_path / "eq")]) == 0
+    pol1, pol2 = solved["pols"]
+    # firm 1's values and contraction check face firm 2's policies, and
+    # firm 2's values face firm 1's
+    assert [(kind, id(p)) for kind, p in rivals] == [
+        ("values", id(pol2)), ("values", id(pol1)), ("contraction", id(pol2))]
