@@ -238,6 +238,8 @@ def _objective_surface_rows(config: SimConfig):
 
 def cmd_simulate(args) -> int:
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         overrides = {
             "replications": args.replications,
             "horizon": args.horizon,

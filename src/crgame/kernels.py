@@ -46,12 +46,18 @@ def profit_moments_grid(coef, sigma, z, prices, quantities, inventory,
             + sigma * z)
     demand = base[None, :] + np.outer(prices, coef[:, 1])        # (P, n)
     stock = float(inventory) + quantities                        # (Q,)
-    sales = np.clip(demand[:, None, :], 0.0, stock[None, :, None])  # (P, Q, n)
+    # clip's values, with the lower bound taken on (P, n) before broadcasting
+    sales = np.minimum(np.maximum(demand, 0.0)[:, None, :],
+                       stock[None, :, None])                      # (P, Q, n)
     left = stock[None, :, None] - sales
     net_hold = float(holding) - (float(salvage) if salvage_on else 0.0)
     profit = (prices[:, None, None] * sales
               - float(cost) * quantities[None, :, None]
               - net_hold * left)
-    means = profit.mean(axis=2)
-    sds = profit.std(axis=2, ddof=1)
+    # numpy's own mean and ddof=1 std sequence, sharing one sum over draws
+    n = profit.shape[2]
+    means = np.add.reduce(profit, axis=2, keepdims=True) / n
+    dev = profit - means
+    np.multiply(dev, dev, out=dev)
+    sds = np.sqrt(np.add.reduce(dev, axis=2) / (n - 1))
     return means.reshape(-1), sds.reshape(-1)

@@ -11,7 +11,13 @@ A Gibbs refresh runs hundreds of sweeps over a few dozen records, so its
 censored rows are split out once per refresh (``_CensoredRows``) and each
 sweep draws all their latents in one small-array pass. That pass returns
 exactly the draws of the general samplers ``truncated_normal_lower`` and
-``truncated_normal_upper``, which it calls only for a far-tail element.
+``truncated_normal_upper``, which it calls only for a far-tail element, and
+is cut down to the arithmetic those draws need.
+
+A refresh reads only the prior, the history and its own stream, never the
+posterior it replaces. The simulation relies on this to refresh only when
+the result is read: an update that a refresh in the same period would
+replace unread is not run (``simharness.run_replication``).
 """
 
 from __future__ import annotations
@@ -273,14 +279,16 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     var_draws = np.empty(sweeps)
 
     latent = y.copy()
+    XT, rows, draw, normal = X.T, cens.rows, cens.draw, rng.standard_normal
+    m0, b0, shape = prior.m, prior.b, prior.a + 0.5 * (n + p)
     for it in range(burn_in + sweeps):
         sd = np.sqrt(sigma2)
-        latent[cens.rows] = cens.draw(psi, sd, rng)
-        mn = Sn @ (S0_inv_m0 + X.T @ latent)
-        psi = mn + sd * (Ln @ rng.standard_normal(p))
+        latent[rows] = draw(psi, sd, rng)
+        psi = Sn @ (S0_inv_m0 + XT @ latent) + sd * (Ln @ normal(p))
         resid = latent - X @ psi
-        quad = float(resid @ resid + (psi - prior.m) @ S0_inv @ (psi - prior.m))
-        sigma2 = (prior.b + 0.5 * quad) / rng.gamma(prior.a + 0.5 * (n + p))
+        dev = psi - m0
+        quad = float(resid @ resid + dev @ S0_inv @ dev)
+        sigma2 = (b0 + 0.5 * quad) / rng.gamma(shape)
         if it >= burn_in:
             coef_draws[it - burn_in] = psi
             var_draws[it - burn_in] = sigma2
@@ -311,6 +319,7 @@ class _CensoredRows:
                    if r.floored and not r.censored]
         self.rows = np.array(cens + floored, dtype=np.intp)
         self.n_cens = len(cens)
+        self.has_floored = bool(floored)
         self.Xc, self.Xf = X[cens], X[floored]
         self.lower = np.array([history[i].stock for i in cens]
                               + [-0.0] * len(floored))
@@ -327,20 +336,23 @@ class _CensoredRows:
         and the arithmetic is elementwise. Past the tail cut it draws extra
         variates after each call's uniforms, so then both calls are made.
         """
-        k = self.n_cens
         # two products, not one stacked matrix: the BLAS kernel may sum a
         # row's dot product in another order at another row position
-        mean = np.concatenate((self.Xc @ psi, -(self.Xf @ psi)))
-        alpha = (self.lower - mean) / sd
-        if (alpha > _TAIL_CUT).any():
+        mean = self.Xc @ psi
+        if self.has_floored:
+            mean = np.concatenate((mean, -(self.Xf @ psi)))
+        # -alpha, and mean - sd * ndtri(.) for mean + sd * -ndtri(.): IEEE
+        # negation is exact, so these are the general sampler's values
+        neg_alpha = (mean - self.lower) / sd
+        if len(neg_alpha) and neg_alpha.min() < -_TAIL_CUT:
+            k = self.n_cens
             out = np.concatenate((
                 truncated_normal_lower(mean[:k], sd, self.lower[:k], rng),
                 truncated_normal_lower(mean[k:], sd, self.lower[k:], rng)))
         else:
-            u = 1.0 - rng.random(len(alpha))
-            z = -ndtri(u * ndtr(-alpha))
-            out = np.maximum(mean + sd * z, self.lower)
-        return self.sign * out
+            u = 1.0 - rng.random(len(neg_alpha))
+            out = np.maximum(mean - sd * ndtri(u * ndtr(neg_alpha)), self.lower)
+        return self.sign * out if self.has_floored else out
 
 
 def _history_arrays(history: list[ObservationRecord]):
@@ -365,10 +377,10 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     psi = prior.m.copy()
     coef_draws = np.empty((sweeps, p))
     latent = y.copy()
+    XT, rows, draw, normal = X.T, cens.rows, cens.draw, rng.standard_normal
     for it in range(burn_in + sweeps):
-        latent[cens.rows] = cens.draw(psi, noise_sd, rng)
-        mn = Sn @ (mn_base + X.T @ latent / s2)
-        psi = mn + Ln @ rng.standard_normal(p)
+        latent[rows] = draw(psi, noise_sd, rng)
+        psi = Sn @ (mn_base + XT @ latent / s2) + Ln @ normal(p)
         if it >= burn_in:
             coef_draws[it - burn_in] = psi
 

@@ -189,6 +189,8 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
     static = policy == "classical-static-prior"
     kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
     pcfg = config.policy_config(kappa=kappa)
+    gibbs = config.learning_mode == "gibbs-every-period"
+    noise_sd = config.true_params.sigma if config.sigma_mode == "fixed" else None
 
     cost_rng = rngmod.stream(seed, pid, rep_index, "costs")
     costs = tuple(
@@ -235,22 +237,29 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
             salvage_mode=config.salvage_mode, terminal=(t == T))
 
         if not static:
+            records = []
             for i in (0, 1):
                 j = 1 - i
                 cov = np.array([1.0, actions[i].price, actions[j].price,
                                 1.0 if lag_stockout[j] else 0.0])
                 stock = state.inventory[i] + actions[i].quantity
-                record = ObservationRecord(
+                records.append(ObservationRecord(
                     cov, outcomes[i].sales, stock, outcomes[i].stockout,
                     floored=(outcomes[i].sales <= 0.0
-                             and not outcomes[i].stockout))
+                             and not outcomes[i].stockout)))
+            # a Gibbs refresh restarts from the prior and never reads the
+            # posterior it replaces, so when firm 2's record is refreshed,
+            # firm 1's update of this period would be discarded unread
+            skip_first = gibbs and (records[1].censored or records[1].floored)
+            for i, record in enumerate(records):
                 history.append(record)
+                if i == 0 and skip_first:
+                    continue
                 update_rng = rngmod.stream(seed, pid, rep_index, i, t, "impute")
                 posterior = online_update(
                     posterior, record, update_rng, mode=config.learning_mode,
                     prior=config.prior_hyper(), history=history,
-                    noise_sd=(config.true_params.sigma
-                              if config.sigma_mode == "fixed" else None))
+                    noise_sd=noise_sd)
             for i in (0, 1):
                 j = 1 - i
                 model = _rival_action_model(config, posterior,

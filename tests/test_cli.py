@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +126,14 @@ def test_config_error_bad_value(outdir, tmp_path):
     assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_config_error_nonpositive_threads(outdir, threads, capsys):
+    assert run_cli(["simulate", "--out", outdir, "--replications", "1",
+                    "--horizon", "2", "--threads", threads]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(outdir)
+
+
 def test_io_error_unwritable_out(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a regular file where the parent dir should go")
@@ -226,3 +236,14 @@ def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
     # firm 2's values face firm 1's
     assert [(kind, id(p)) for kind, p in rivals] == [
         ("values", id(pol2)), ("values", id(pol1)), ("contraction", id(pol2))]
+
+
+def test_python_m_crgame_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "crgame", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: crgame")
+    for command in ("simulate", "equilibrium", "report"):
+        assert command in proc.stdout

@@ -206,6 +206,27 @@ def test_online_update_censored_is_deterministic_given_stream():
     assert float(x @ a.m) > float(x @ PRIOR_M)
 
 
+@pytest.mark.parametrize("noise_sd", [4.5, None])
+@pytest.mark.parametrize("floored", [False, True])
+def test_gibbs_online_update_ignores_incoming_posterior(noise_sd, floored):
+    """A refresh reads the prior, the history and its stream, never the
+    posterior it replaces; the simulation skips an update whose result
+    only a refresh would have received."""
+    history = crafted_history()
+    if floored:
+        x = np.array([1.0, 16.0, 16.0, 0.0])
+        history.append(ObservationRecord(x, 0.0, 40.0, False, floored=True))
+    stale = conjugate_update(make_prior(), history[0].covariate, 80.0)
+    got = [online_update(incoming, history[-1], rngmod.stream(83, "dead"),
+                         mode="gibbs-every-period", prior=make_prior(),
+                         history=history, sweeps=60, burn_in=20,
+                         noise_sd=noise_sd)
+           for incoming in (make_prior(), stale)]
+    np.testing.assert_array_equal(got[0].m, got[1].m)
+    np.testing.assert_array_equal(got[0].S, got[1].S)
+    assert (got[0].a, got[0].b) == (got[1].a, got[1].b)
+
+
 def test_online_update_floored_pulls_mean_down():
     x = np.array([1.0, 16.0, 16.0, 0.0])
     record = ObservationRecord(x, 0.0, 40.0, False, floored=True)

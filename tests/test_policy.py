@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgame import rng as rngmod
+from crgame import kernels, rng as rngmod
 from crgame.learning import PosteriorHyper, TypeBelief
 from crgame.market import Action, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
@@ -105,6 +105,30 @@ def test_grid_moments_match_single_candidate():
                     flat = ip * len(QTY_GRID) + iq  # price-major layout
                     assert means[flat] == pytest.approx(profit.mean(), rel=1e-9)
                     assert sds[flat] == pytest.approx(profit.std(ddof=1), rel=1e-9)
+
+
+@pytest.mark.parametrize("salvage_on", [True, False])
+@pytest.mark.parametrize("rival_stockout", [False, True])
+@pytest.mark.parametrize("inventory", [0.0, 12.5])
+def test_profit_moments_grid_is_bit_exact(salvage_on, rival_stockout,
+                                          inventory):
+    coef, sig, z = _draws(n=500, seed=13)
+    prices, qtys = np.array(PRICE_GRID), np.array(QTY_GRID)
+    # the (P, Q, n) profit tensor in full, then numpy's own moments of it
+    base = (coef[:, 0] + coef[:, 2] * 11.0 + coef[:, 3] * float(rival_stockout)
+            + sig * z)
+    demand = base[None, :] + np.outer(prices, coef[:, 1])
+    stock = inventory + qtys
+    sales = np.clip(demand[:, None, :], 0.0, stock[None, :, None])
+    left = stock[None, :, None] - sales
+    net_hold = LOW.h - (LOW.s if salvage_on else 0.0)
+    profit = (prices[:, None, None] * sales - LOW.c * qtys[None, :, None]
+              - net_hold * left)
+    means, sds = kernels.profit_moments_grid(
+        coef, sig, z, prices, qtys, inventory, 11.0, rival_stockout, LOW.c,
+        LOW.h, LOW.s, salvage_on)
+    np.testing.assert_array_equal(means, profit.mean(axis=2).reshape(-1))
+    np.testing.assert_array_equal(sds, profit.std(axis=2, ddof=1).reshape(-1))
 
 
 def test_closed_form_grid_scores_match_scalar_loop():

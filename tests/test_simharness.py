@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgame import rng as rngmod
+from crgame import learning, rng as rngmod
 from crgame.simharness import (SimConfig, bootstrap_diff, dominance_curve,
                                relative_improvement, run_experiment,
                                run_replication, summarize_relative)
@@ -52,6 +52,36 @@ def test_seed_changes_results():
     a = run_replication(small_config(), "bayesian-risk-neutral", 0)
     b = run_replication(small_config(master_seed=99), "bayesian-risk-neutral", 0)
     assert not np.array_equal(a.profits, b.profits)
+
+
+@pytest.mark.parametrize("sigma_mode", ["fixed", "learn"])
+def test_one_gibbs_refresh_per_censored_period(sigma_mode, monkeypatch):
+    """Firm 1's update is skipped when firm 2's record triggers a refresh,
+    so a period runs one refresh if either record is censored or floored."""
+    calls = []
+    refresh = learning.gibbs_refresh
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))  # history length
+        return refresh(*args, **kwargs)
+
+    monkeypatch.setattr(learning, "gibbs_refresh", counted)
+    cfg = small_config(horizon=10, sigma_mode=sigma_mode)
+    both = 0
+    for policy in ("proposed-credible-risk", "bayesian-risk-neutral"):
+        for rep in range(3):
+            calls.clear()
+            rec = run_replication(cfg, policy, rep)
+            hidden = rec.stockouts | (rec.sales <= 0.0)  # censored or floored
+            want = []
+            for t, (firm1, firm2) in enumerate(hidden, start=1):
+                if firm2:  # one refresh, over both of the period's records
+                    want.append(2 * t)
+                elif firm1:
+                    want.append(2 * t - 1)
+            assert calls == want
+            both += int(hidden.all(axis=1).sum())
+    assert both > 0  # some period had two hidden records and skipped one
 
 
 # ------------------------------------------------------------------ metrics
