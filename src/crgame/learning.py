@@ -8,11 +8,17 @@ truncated-normal imputation per record or by a Gibbs refresh over retained
 history.
 
 A Gibbs refresh runs hundreds of sweeps over a few dozen records, so its
-censored rows are split out once per refresh (``_CensoredRows``) and each
-sweep draws all their latents in one small-array pass. That pass returns
-exactly the draws of the general samplers ``truncated_normal_lower`` and
-``truncated_normal_upper``, which it calls only for a far-tail element, and
-is cut down to the arithmetic those draws need.
+censored rows are split out once per refresh (``_CensoredRows``) and it
+draws the uniforms, normals (and variance gammas) of all its sweeps as one
+block per refresh before the chain runs. Each sweep turns its row of
+uniforms into the rows' latents by the inverse-CDF arithmetic of the
+general samplers ``truncated_normal_lower`` and ``truncated_normal_upper``,
+which it calls, with fresh draws, only for a far-tail element. The
+known-variance chain iterates only the latents' standardized excess over
+their bounds and forms its coefficient draws in one product at the end.
+So its latents agree with the general samplers' only to rounding on the
+same uniforms, and its draws differ from those of a chain that calls the
+generator every sweep.
 
 A refresh reads only the prior, the history and its own stream, never the
 posterior it replaces. The simulation relies on this to refresh only when
@@ -267,28 +273,34 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
 
     X, y, cens = _history_arrays(history)
     n, p = X.shape
+    k, N = len(cens.rows), burn_in + sweeps
 
     S0_inv = np.linalg.inv(prior.S)
     S0_inv_m0 = S0_inv @ prior.m
     Sn = np.linalg.inv(S0_inv + X.T @ X)
     Ln = np.linalg.cholesky(Sn)
+    m0, b0, shape = prior.m, prior.b, prior.a + 0.5 * (n + p)
 
-    psi = prior.m.copy()
-    sigma2 = prior.b / (prior.a + 1.0)  # prior mode
+    # one block of variates per refresh, drawn before the chain runs
+    U = 1.0 - rng.random((N, k))  # in (0, 1]
+    Z = rng.standard_normal((N, p))
+    G = rng.gamma(shape, size=N)
+
+    psi = m0.copy()
+    sigma2 = b0 / (prior.a + 1.0)  # prior mode
     coef_draws = np.empty((sweeps, p))
     var_draws = np.empty(sweeps)
-
     latent = y.copy()
-    XT, rows, draw, normal = X.T, cens.rows, cens.draw, rng.standard_normal
-    m0, b0, shape = prior.m, prior.b, prior.a + 0.5 * (n + p)
-    for it in range(burn_in + sweeps):
+    XT, rows, SX, lower, sign = X.T, cens.rows, cens.SX, cens.lower, cens.sign
+    for it in range(N):
         sd = np.sqrt(sigma2)
-        latent[rows] = draw(psi, sd, rng)
-        psi = Sn @ (S0_inv_m0 + XT @ latent) + sd * (Ln @ normal(p))
+        e = cens.excess((SX @ psi - lower) / sd, sd, U[it], rng)
+        latent[rows] = sign * (lower + sd * e)
+        psi = Sn @ (S0_inv_m0 + XT @ latent) + sd * (Ln @ Z[it])
         resid = latent - X @ psi
         dev = psi - m0
         quad = float(resid @ resid + dev @ S0_inv @ dev)
-        sigma2 = (b0 + 0.5 * quad) / rng.gamma(shape)
+        sigma2 = (b0 + 0.5 * quad) / G[it]
         if it >= burn_in:
             coef_draws[it - burn_in] = psi
             var_draws[it - burn_in] = sigma2
@@ -307,10 +319,13 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
 
 class _CensoredRows:
     """The censored (stockout) and floored (zero-sales) rows of a history,
-    split out once per Gibbs refresh, and the sweep's draw of their latents.
+    split out once per Gibbs refresh, and the draw of their latents.
 
-    A floored latent is drawn by the reflection of ``truncated_normal_upper``:
-    its negation is drawn above -0 and the result negated.
+    Each row has a reflection sign ``s`` (+1 censored, -1 floored) and a
+    lower bound ``l`` (the stock, or -0 for a floored row) such that
+    ``s * latent >= l``: a floored latent is drawn by the reflection of
+    ``truncated_normal_upper``. The chains carry a row's latent as its
+    standardized excess ``e = (s * latent - l) / sd >= 0``.
     """
 
     def __init__(self, X: np.ndarray, history: list[ObservationRecord]):
@@ -319,40 +334,29 @@ class _CensoredRows:
                    if r.floored and not r.censored]
         self.rows = np.array(cens + floored, dtype=np.intp)
         self.n_cens = len(cens)
-        self.has_floored = bool(floored)
-        self.Xc, self.Xf = X[cens], X[floored]
         self.lower = np.array([history[i].stock for i in cens]
                               + [-0.0] * len(floored))
         self.sign = np.array([1.0] * len(cens) + [-1.0] * len(floored))
+        self.SX = self.sign[:, None] * X[self.rows]
 
-    def draw(self, psi: np.ndarray, sd: float,
-             rng: np.random.Generator) -> np.ndarray:
-        """Latent demand of ``rows`` given coefficients ``psi`` and noise sd.
+    def excess(self, neg_alpha: np.ndarray, sd: float, u: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+        """Standardized excess of the rows' latents over their bounds.
 
-        Bit for bit what ``truncated_normal_lower`` on the censored rows and
-        then ``truncated_normal_upper`` at 0 on the floored rows return, with
-        the same generator state after, in one pass over both: on the body of
-        the distribution the general sampler takes one uniform per element
-        and the arithmetic is elementwise. Past the tail cut it draws extra
-        variates after each call's uniforms, so then both calls are made.
+        ``neg_alpha`` is ``(s * mean - l) / sd`` per row. On the body of the
+        distribution this is the general sampler's inverse CDF on the
+        uniforms ``u`` in (0, 1]. Past the tail cut ``u`` goes unused and
+        ``truncated_normal_lower`` draws both sides afresh from ``rng``, one
+        call per side.
         """
-        # two products, not one stacked matrix: the BLAS kernel may sum a
-        # row's dot product in another order at another row position
-        mean = self.Xc @ psi
-        if self.has_floored:
-            mean = np.concatenate((mean, -(self.Xf @ psi)))
-        # -alpha, and mean - sd * ndtri(.) for mean + sd * -ndtri(.): IEEE
-        # negation is exact, so these are the general sampler's values
-        neg_alpha = (mean - self.lower) / sd
-        if len(neg_alpha) and neg_alpha.min() < -_TAIL_CUT:
-            k = self.n_cens
+        if neg_alpha.size and neg_alpha.min() < -_TAIL_CUT:
+            lower, k = self.lower, self.n_cens
+            mean = lower + sd * neg_alpha
             out = np.concatenate((
-                truncated_normal_lower(mean[:k], sd, self.lower[:k], rng),
-                truncated_normal_lower(mean[k:], sd, self.lower[k:], rng)))
-        else:
-            u = 1.0 - rng.random(len(neg_alpha))
-            out = np.maximum(mean - sd * ndtri(u * ndtr(neg_alpha)), self.lower)
-        return self.sign * out if self.has_floored else out
+                truncated_normal_lower(mean[:k], sd, lower[:k], rng),
+                truncated_normal_lower(mean[k:], sd, lower[k:], rng)))
+            return (out - lower) / sd
+        return np.maximum(neg_alpha - ndtri(u * ndtr(neg_alpha)), 0.0)
 
 
 def _history_arrays(history: list[ObservationRecord]):
@@ -364,26 +368,45 @@ def _history_arrays(history: list[ObservationRecord]):
 def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord],
                          sweeps: int, rng: np.random.Generator,
                          burn_in: int, noise_sd: float) -> PosteriorHyper:
-    """Known-variance data-augmentation chain; only coefficients are latent."""
+    """Known-variance data-augmentation chain; only coefficients are latent.
+
+    With ``y0`` the sales with the k censored and floored rows zeroed, the
+    coefficient draw of a sweep is ``base + sd * Gs @ e + Ln @ z``, linear
+    in the rows' standardized excess ``e`` and the normals ``z``. So the
+    chain iterates only ``e`` (through the next sweep's ``-alpha``), keeps
+    each sweep's ``[e, z]`` as a row of ``V``, and forms every coefficient
+    draw in one product at the end.
+    """
     X, y, cens = _history_arrays(history)
     n, p = X.shape
+    k, N = len(cens.rows), burn_in + sweeps
     s2 = noise_sd**2
 
     S0_inv = np.linalg.inv(prior.S)
     Sn = np.linalg.inv(S0_inv + X.T @ X / s2)
     Ln = np.linalg.cholesky(Sn)
-    mn_base = S0_inv @ prior.m
+    SX, lower = cens.SX, cens.lower
+    Gs = Sn @ SX.T / s2
+    y0 = y.copy()
+    y0[cens.rows] = 0.0
+    base = Sn @ (S0_inv @ prior.m + X.T @ y0 / s2) + Gs @ lower
 
-    psi = prior.m.copy()
-    coef_draws = np.empty((sweeps, p))
-    latent = y.copy()
-    XT, rows, draw, normal = X.T, cens.rows, cens.draw, rng.standard_normal
-    for it in range(burn_in + sweeps):
-        latent[rows] = draw(psi, noise_sd, rng)
-        psi = Sn @ (mn_base + XT @ latent / s2) + Ln @ normal(p)
-        if it >= burn_in:
-            coef_draws[it - burn_in] = psi
+    # one block of variates per refresh, drawn before the chain runs
+    U = 1.0 - rng.random((N, k))  # in (0, 1]
+    V = np.empty((N, k + p))
+    V[:, k:] = rng.standard_normal((N, p))
 
+    # -alpha of the next sweep is c + AB @ [e, z]
+    c = (SX @ base - lower) / noise_sd
+    AB = np.hstack((SX @ Gs, SX @ Ln / noise_sd))
+    neg_alpha = (SX @ prior.m - lower) / noise_sd
+    excess = cens.excess
+    for it in range(N):
+        V[it, :k] = excess(neg_alpha, noise_sd, U[it], rng)
+        neg_alpha = c + AB @ V[it]
+
+    W = np.vstack((noise_sd * Gs.T, Ln.T))
+    coef_draws = base + V[burn_in:] @ W
     m = coef_draws.mean(axis=0)
     S = np.cov(coef_draws, rowvar=False)
     return PosteriorHyper(m, _ensure_pd(S), prior.a, prior.b)

@@ -316,7 +316,12 @@ def _summarize_policy(config: SimConfig, policy: str,
 
 def run_experiment(config: SimConfig, policies: tuple = POLICIES,
                    threads: int = 1) -> ExperimentSummary:
-    """Run all replications for each policy and aggregate summary statistics."""
+    """Run all replications for each policy and aggregate summary statistics.
+
+    ``threads`` (at least 1) is the number of worker threads per policy.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     records: dict[str, list[ReplicationRecord]] = {}
     for policy in policies:
         if threads > 1:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from crgame import learning, rng as rngmod
@@ -270,9 +271,18 @@ def test_type_belief_stays_probability_vector(likelihoods):
 
 # ------------------------------------------------- lean Gibbs sweep parity
 
+def _general_draw(mean, sd, lower, u):
+    """``truncated_normal_lower``'s body arithmetic on given uniforms."""
+    return np.maximum(mean + sd * -ndtri(u * ndtr((mean - lower) / sd)), lower)
+
+
 def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
-    """The Gibbs refresh as first written: the general truncated-normal
-    samplers on boolean masks, every sweep. Reference for the lean sweep."""
+    """The Gibbs refresh in coefficient space: every sweep draws the
+    latents by the general samplers' formula on its row of the uniform
+    block (the general samplers themselves past the tail cut), then the
+    coefficients and, with the variance learned, the variance. It reads the
+    same blocks as ``gibbs_refresh``. Reference for the latent-excess
+    recursion and the shared excess draw."""
     X = np.stack([np.asarray(r.covariate, dtype=float) for r in history])
     y = np.array([r.sales for r in history], dtype=float)
     stocks = np.array([r.stock for r in history], dtype=float)
@@ -280,56 +290,47 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
     floored = np.array([r.floored and not r.censored for r in history],
                        dtype=bool)
     n, p = X.shape
+    n_cens, N = int(cens.sum()), burn_in + sweeps
+    learn = noise_sd is None
     S0_inv = np.linalg.inv(prior.S)
-    psi = prior.m.copy()
-    coef_draws = np.empty((sweeps, p))
-    latent = y.copy()
-    if noise_sd is not None:
-        s2 = noise_sd**2
-        Sn = np.linalg.inv(S0_inv + X.T @ X / s2)
-        Ln = np.linalg.cholesky(Sn)
-        mn_base = S0_inv @ prior.m
-        sd_vec = np.full(int(cens.sum()), noise_sd)
-        sd_vec_f = np.full(int(floored.sum()), noise_sd)
-        for it in range(burn_in + sweeps):
-            if cens.any():
-                latent[cens] = truncated_normal_lower(X[cens] @ psi, sd_vec,
-                                                      stocks[cens], rng)
-            if floored.any():
-                latent[floored] = truncated_normal_upper(
-                    X[floored] @ psi, sd_vec_f, np.zeros(sd_vec_f.shape), rng)
-            mn = Sn @ (mn_base + X.T @ latent / s2)
-            psi = mn + Ln @ rng.standard_normal(p)
-            if it >= burn_in:
-                coef_draws[it - burn_in] = psi
-        m = coef_draws.mean(axis=0)
-        S = np.cov(coef_draws, rowvar=False)
-        return PosteriorHyper(m, learning._ensure_pd(S), prior.a, prior.b)
-
-    S0_inv_m0 = S0_inv @ prior.m
-    Sn = np.linalg.inv(S0_inv + X.T @ X)
+    Sn = np.linalg.inv(S0_inv + X.T @ X / (1.0 if learn else noise_sd**2))
     Ln = np.linalg.cholesky(Sn)
-    sigma2 = prior.b / (prior.a + 1.0)
+    shape = prior.a + 0.5 * (n + p)
+    U = 1.0 - rng.random((N, n_cens + int(floored.sum())))
+    Z = rng.standard_normal((N, p))
+    G = rng.gamma(shape, size=N) if learn else None
+
+    psi = prior.m.copy()
+    sigma2 = prior.b / (prior.a + 1.0) if learn else noise_sd**2
+    coef_draws = np.empty((sweeps, p))
     var_draws = np.empty(sweeps)
-    for it in range(burn_in + sweeps):
-        if cens.any():
-            mu_c = X[cens] @ psi
-            latent[cens] = truncated_normal_lower(
-                mu_c, np.full(mu_c.shape, np.sqrt(sigma2)), stocks[cens], rng)
-        if floored.any():
-            mu_f = X[floored] @ psi
-            latent[floored] = truncated_normal_upper(
-                mu_f, np.full(mu_f.shape, np.sqrt(sigma2)),
-                np.zeros(mu_f.shape), rng)
-        mn = Sn @ (S0_inv_m0 + X.T @ latent)
-        psi = mn + np.sqrt(sigma2) * (Ln @ rng.standard_normal(p))
-        resid = latent - X @ psi
-        quad = float(resid @ resid + (psi - prior.m) @ S0_inv @ (psi - prior.m))
-        sigma2 = (prior.b + 0.5 * quad) / rng.gamma(prior.a + 0.5 * (n + p))
+    latent = y.copy()
+    for it in range(N):
+        sd = np.sqrt(sigma2) if learn else noise_sd
+        mu_c, mu_f = X[cens] @ psi, X[floored] @ psi
+        alpha = np.concatenate(((stocks[cens] - mu_c) / sd, mu_f / sd))
+        if alpha.size and alpha.max() > 8.0:
+            latent[cens] = truncated_normal_lower(mu_c, sd, stocks[cens], rng)
+            latent[floored] = truncated_normal_upper(mu_f, sd, 0.0, rng)
+        elif alpha.size:
+            latent[cens] = _general_draw(mu_c, sd, stocks[cens],
+                                         U[it, :n_cens])
+            latent[floored] = -_general_draw(-mu_f, sd, -0.0, U[it, n_cens:])
+        if not learn:
+            psi = Sn @ (S0_inv @ prior.m + X.T @ latent / sigma2) + Ln @ Z[it]
+        else:
+            psi = Sn @ (S0_inv @ prior.m + X.T @ latent) + sd * (Ln @ Z[it])
+            resid = latent - X @ psi
+            quad = float(resid @ resid
+                         + (psi - prior.m) @ S0_inv @ (psi - prior.m))
+            sigma2 = (prior.b + 0.5 * quad) / G[it]
         if it >= burn_in:
             coef_draws[it - burn_in] = psi
             var_draws[it - burn_in] = sigma2
     m = coef_draws.mean(axis=0)
+    if not learn:
+        S = np.cov(coef_draws, rowvar=False)
+        return PosteriorHyper(m, learning._ensure_pd(S), prior.a, prior.b)
     v_mean = var_draws.mean()
     v_var = var_draws.var(ddof=1)
     if v_var > 0:
@@ -392,11 +393,17 @@ def test_lean_draw_matches_general_sampler(n_cens, n_floored, tail, sd,
         fallbacks.append(len(args[0]))
         return truncated_normal_lower(*args)
 
+    # the uniforms come from a twin of the reference's generator; the
+    # far-tail fallback draws from its own twin
+    r_twin = rngmod.stream(73, "draw", n_cens, n_floored)
     r_lean = rngmod.stream(73, "draw", n_cens, n_floored)
     r_ref = rngmod.stream(73, "draw", n_cens, n_floored)
+    u = 1.0 - r_twin.random(n_cens + n_floored)
     monkeypatch.setattr(learning, "truncated_normal_lower", counted)
-    got = rows.draw(psi, sd, r_lean)
+    e = rows.excess((rows.SX @ psi - rows.lower) / sd, sd, u, r_lean)
     monkeypatch.undo()
+    assert np.all(e >= 0.0)
+    got = rows.sign * (rows.lower + sd * e)
     want = []
     if n_cens:
         want.append(truncated_normal_lower(c_mean, np.full(n_cens, sd),
@@ -404,9 +411,12 @@ def test_lean_draw_matches_general_sampler(n_cens, n_floored, tail, sd,
     if n_floored:
         want.append(truncated_normal_upper(f_mean, np.full(n_floored, sd),
                                            np.zeros(n_floored), r_ref))
-    np.testing.assert_array_equal(
-        got, np.concatenate(want) if want else np.empty(0))
-    assert r_lean.random() == r_ref.random()  # same generator state after
+    np.testing.assert_allclose(
+        got, np.concatenate(want) if want else np.empty(0),
+        rtol=1e-12, atol=1e-12 * sd)
+    # same generator state after: the body reads only the given uniforms
+    used = r_twin if tail is None else r_lean
+    assert used.random() == r_ref.random()
     # the general sampler runs only for a far-tail element, once per side
     assert fallbacks == ([] if tail is None else [n_cens, n_floored])
 
@@ -424,18 +434,57 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
         fallbacks.append(len(args[0]))
         return truncated_normal_lower(*args)
 
+    r_lean, r_ref = rngmod.stream(79, "g"), rngmod.stream(79, "g")
     monkeypatch.setattr(learning, "truncated_normal_lower", counted)
-    got = gibbs_refresh(make_prior(), history, 300, rngmod.stream(79, "g"),
-                        burn_in=100, noise_sd=noise_sd)
+    got = gibbs_refresh(make_prior(), history, 300, r_lean, burn_in=100,
+                        noise_sd=noise_sd)
     monkeypatch.undo()
-    want = _reference_gibbs(make_prior(), history, 300,
-                            rngmod.stream(79, "g"), 100, noise_sd=noise_sd)
-    np.testing.assert_array_equal(got.m, want.m)
-    np.testing.assert_array_equal(got.S, want.S)
-    assert (got.a, got.b) == (want.a, want.b)
-    # on the censored history both the one-pass body draw and the far-tail
-    # fallback ran
+    want = _reference_gibbs(make_prior(), history, 300, r_ref, 100,
+                            noise_sd=noise_sd)
+    np.testing.assert_allclose(got.m, want.m, rtol=1e-10)
+    np.testing.assert_allclose(got.S, want.S, rtol=1e-10)
+    np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=1e-10)
+    assert r_lean.random() == r_ref.random()  # same generator state after
+    # on the censored history both the body draw and the far-tail fallback
+    # ran
     assert (0 < len(fallbacks) < 2 * 400) if censored else not fallbacks
+
+
+class _LoggedGenerator:
+    """A generator that logs each variate request by method and size."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.log.append((name, args, kwargs))
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("noise_sd", [4.5, None])
+def test_gibbs_refresh_draws_one_block_per_refresh(noise_sd):
+    """Without a far-tail element a refresh makes exactly three requests
+    (two with the noise sd fixed): the uniforms of every sweep, the normals
+    of every sweep, the variance draws of every sweep, and no per-sweep
+    calls to the generator."""
+    history = crafted_history()[:-1]  # without the far-tail record
+    n, p, k = len(history), 4, sum(r.censored or r.floored for r in history)
+    N = 100 + 300
+    rng = _LoggedGenerator(rngmod.stream(89, "block"))
+    gibbs_refresh(make_prior(), history, 300, rng, burn_in=100,
+                  noise_sd=noise_sd)
+    twin = rngmod.stream(89, "block")
+    twin.random((N, k))
+    twin.standard_normal((N, p))
+    shape = make_prior().a + 0.5 * (n + p)
+    want = [("random", ((N, k),), {}), ("standard_normal", ((N, p),), {})]
+    if noise_sd is None:
+        twin.gamma(shape, size=N)
+        want.append(("gamma", (shape,), {"size": N}))
+    assert rng.log == want
+    assert rng.rng.random(8).tolist() == twin.random(8).tolist()
 
 
 # Two-sided false-alarm rate of one bias comparison below; the test makes

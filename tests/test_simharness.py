@@ -48,6 +48,14 @@ def test_thread_count_does_not_change_results():
             np.testing.assert_array_equal(r1.mse, r8.mse)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_experiment_rejects_nonpositive_threads(threads):
+    cfg = SimConfig(horizon=1, replications=1)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_experiment(cfg, policies=("classical-static-prior",),
+                       threads=threads)
+
+
 def test_seed_changes_results():
     a = run_replication(small_config(), "bayesian-risk-neutral", 0)
     b = run_replication(small_config(master_seed=99), "bayesian-risk-neutral", 0)
