@@ -141,6 +141,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        for key in raw:
+            if key not in merged:
+                raise ConfigError(f"unknown config field {key}")
         for section in ("simulation", "equilibrium"):
             part = raw.get(section, {})
             if not isinstance(part, dict):

@@ -7,18 +7,28 @@ to batch equivalence). Censored observations are handled either by a single
 truncated-normal imputation per record or by a Gibbs refresh over retained
 history.
 
-A Gibbs refresh runs hundreds of sweeps over a few dozen records, so its
-censored rows are split out once per refresh (``_CensoredRows``) and it
-draws the uniforms, normals (and variance gammas) of all its sweeps as one
-block per refresh before the chain runs. Each sweep turns its row of
+A Gibbs refresh runs up to a few hundred sweeps over a few dozen records,
+so its censored rows are split out once per refresh (``_CensoredRows``) and
+it draws the uniforms, normals (and variance gammas) of all its sweeps as
+one block per refresh before the chain runs. Each sweep turns its row of
 uniforms into the rows' latents by the inverse-CDF arithmetic of the
 general samplers ``truncated_normal_lower`` and ``truncated_normal_upper``,
 which it calls, with fresh draws, only for a far-tail element. The
-known-variance chain iterates only the latents' standardized excess over
-their bounds and forms its coefficient draws in one product at the end.
-So its latents agree with the general samplers' only to rounding on the
-same uniforms, and its draws differ from those of a chain that calls the
-generator every sweep.
+known-variance refresh iterates only the latents' standardized excess over
+their bounds. So its latents agree with the general samplers' only to
+rounding on the same uniforms, and its draws differ from those of a chain
+that calls the generator every sweep. It also runs ``FIXED_CHAINS``
+independent chains in lockstep: a sweep costs a few numpy calls on arrays
+of a few dozen elements, so four chains cost little more than one.
+
+The refresh's coefficient moments are Rao-Blackwellised (Gelfand & Smith
+1990; Liu, Wong & Kong 1994): the coefficients given a sweep's latents are
+Gaussian in closed form, so the refresh averages those conditional moments
+instead of the coefficient draws. That removes the draws' own noise from
+``m`` and ``S``. What is left comes from the latents' spread and their
+autocorrelation from sweep to sweep. Sweeps of independent chains are not
+correlated with each other, so pooled chains reach a given error in fewer
+sweeps each (``GIBBS_CHAIN``).
 
 A refresh reads only the prior, the history and its own stream, never the
 posterior it replaces. The simulation relies on this to refresh only when
@@ -249,22 +259,40 @@ def sample_truncated_latent(hyper: PosteriorHyper, covariate: np.ndarray,
     raise ValueError(f"unknown truncation side {side!r}")
 
 
+# Burn-in and kept sweeps of each chain of a refresh, by noise mode: the
+# simulation's chains. The known-variance refresh runs FIXED_CHAINS chains,
+# 200 kept sweeps in all; the learned-variance one runs one chain, which
+# mixes more slowly. At these lengths every coefficient's Monte Carlo error
+# measured below that of one chain of 100 burn-in + 300 sweeps averaging
+# the coefficient draws (``test_gibbs_refresh_monte_carlo_error``).
+GIBBS_CHAIN = {"fixed": (25, 50), "learn": (50, 250)}
+FIXED_CHAINS = 4
+
+
 def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
-                  sweeps: int, rng: np.random.Generator,
-                  burn_in: int = 500,
+                  rng: np.random.Generator, sweeps: int | None = None,
+                  burn_in: int | None = None,
                   noise_sd: float | None = None) -> PosteriorHyper:
     """Data-augmentation Gibbs over the full history, moment-matched back to
     normal-inverse-gamma hyperparameters.
 
     Sweep: impute censored latents from their truncated-normal conditional,
     draw coefficients given the variance, draw the variance given the
-    coefficients. With no censored records the output agrees with the batch
-    conjugate posterior up to Monte Carlo error. ``noise_sd`` pins the noise
-    scale (known-variance recursion: S is the literal coefficient
-    covariance and the inverse-gamma component is left untouched).
+    coefficients. The coefficient moments are Rao-Blackwellised: each kept
+    sweep contributes the exact mean and covariance of the coefficients
+    given its latents (and variance), not its coefficient draw, so with no
+    censored records ``m`` is the batch conjugate posterior mean.
+    ``noise_sd`` pins the noise scale (known-variance recursion: S is the
+    literal coefficient covariance and the inverse-gamma component is left
+    untouched); the refresh then runs ``FIXED_CHAINS`` chains of
+    ``burn_in`` + ``sweeps`` each. ``sweeps`` and ``burn_in`` left ``None``
+    take the ``GIBBS_CHAIN`` lengths.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    chain = GIBBS_CHAIN["learn" if noise_sd is None else "fixed"]
+    burn_in = chain[0] if burn_in is None else burn_in
+    sweeps = chain[1] if sweeps is None else sweeps
+    if sweeps < 2:
+        raise ValueError("sweeps must be >= 2")
     if not history:
         return prior.copy()
     if noise_sd is not None:
@@ -287,25 +315,29 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     G = rng.gamma(shape, size=N)
 
     psi = m0.copy()
-    sigma2 = b0 / (prior.a + 1.0)  # prior mode
-    coef_draws = np.empty((sweeps, p))
-    var_draws = np.empty(sweeps)
+    sigma2 = np.empty(N + 1)  # the variance path, from the prior mode
+    sigma2[0] = b0 / (prior.a + 1.0)
+    lat_draws = np.empty((N, k))
     latent = y.copy()
     XT, rows, SX, lower, sign = X.T, cens.rows, cens.SX, cens.lower, cens.sign
     for it in range(N):
-        sd = np.sqrt(sigma2)
+        sd = np.sqrt(sigma2[it])
         e = cens.excess((SX @ psi - lower) / sd, sd, U[it], rng)
-        latent[rows] = sign * (lower + sd * e)
+        latent[rows] = lat_draws[it] = sign * (lower + sd * e)
         psi = Sn @ (S0_inv_m0 + XT @ latent) + sd * (Ln @ Z[it])
         resid = latent - X @ psi
         dev = psi - m0
         quad = float(resid @ resid + dev @ S0_inv @ dev)
-        sigma2 = (b0 + 0.5 * quad) / G[it]
-        if it >= burn_in:
-            coef_draws[it - burn_in] = psi
-            var_draws[it - burn_in] = sigma2
+        sigma2[it + 1] = (b0 + 0.5 * quad) / G[it]
 
-    m = coef_draws.mean(axis=0)
+    # psi | latent, sigma2 ~ N(Sn (S0^-1 m0 + X' latent), sigma2 Sn): average
+    # the conditional moments; the mean's spread comes from the k rows only
+    kept = lat_draws[burn_in:]
+    latent[rows] = kept.mean(axis=0)
+    m = Sn @ (S0_inv_m0 + XT @ latent)
+    Gx = Sn @ X[rows].T
+    coef_cov = Gx @ _cov_rows(kept) @ Gx.T + sigma2[burn_in:N].mean() * Sn
+    var_draws = sigma2[burn_in + 1:]
     v_mean = var_draws.mean()
     v_var = var_draws.var(ddof=1)
     if v_var > 0:
@@ -313,8 +345,14 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
         b = v_mean * (a - 1.0)
     else:
         a, b = prior.a + 0.5 * n, v_mean * (prior.a + 0.5 * n - 1.0)
-    S = np.cov(coef_draws, rowvar=False) / v_mean
-    return PosteriorHyper(m, S, a, b)
+    return PosteriorHyper(m, coef_cov / v_mean, a, b)
+
+
+def _cov_rows(D: np.ndarray) -> np.ndarray:
+    """Sample covariance (ddof 1) of the rows of ``D``, shape (k, k) for
+    every k, which ``np.cov`` is not for k = 1."""
+    D = D - D.mean(axis=0)
+    return D.T @ D / (len(D) - 1)
 
 
 class _CensoredRows:
@@ -343,18 +381,20 @@ class _CensoredRows:
                rng: np.random.Generator) -> np.ndarray:
         """Standardized excess of the rows' latents over their bounds.
 
-        ``neg_alpha`` is ``(s * mean - l) / sd`` per row. On the body of the
-        distribution this is the general sampler's inverse CDF on the
-        uniforms ``u`` in (0, 1]. Past the tail cut ``u`` goes unused and
-        ``truncated_normal_lower`` draws both sides afresh from ``rng``, one
-        call per side.
+        ``neg_alpha`` is ``(s * mean - l) / sd`` per row (last axis; a
+        leading axis holds chains). On the body of the distribution this is
+        the general sampler's inverse CDF on the uniforms ``u`` in (0, 1].
+        Past the tail cut ``u`` goes unused and ``truncated_normal_lower``
+        draws both sides of every chain afresh from ``rng``, one call per
+        side.
         """
         if neg_alpha.size and neg_alpha.min() < -_TAIL_CUT:
             lower, k = self.lower, self.n_cens
             mean = lower + sd * neg_alpha
             out = np.concatenate((
-                truncated_normal_lower(mean[:k], sd, lower[:k], rng),
-                truncated_normal_lower(mean[k:], sd, lower[k:], rng)))
+                truncated_normal_lower(mean[..., :k], sd, lower[:k], rng),
+                truncated_normal_lower(mean[..., k:], sd, lower[k:], rng)),
+                axis=-1)
             return (out - lower) / sd
         return np.maximum(neg_alpha - ndtri(u * ndtr(neg_alpha)), 0.0)
 
@@ -368,18 +408,22 @@ def _history_arrays(history: list[ObservationRecord]):
 def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord],
                          sweeps: int, rng: np.random.Generator,
                          burn_in: int, noise_sd: float) -> PosteriorHyper:
-    """Known-variance data-augmentation chain; only coefficients are latent.
+    """Known-variance data-augmentation chains; only coefficients are
+    latent.
 
     With ``y0`` the sales with the k censored and floored rows zeroed, the
-    coefficient draw of a sweep is ``base + sd * Gs @ e + Ln @ z``, linear
-    in the rows' standardized excess ``e`` and the normals ``z``. So the
-    chain iterates only ``e`` (through the next sweep's ``-alpha``), keeps
-    each sweep's ``[e, z]`` as a row of ``V``, and forms every coefficient
-    draw in one product at the end.
+    coefficients given a sweep's standardized excess ``e`` of those rows
+    are ``N(base + sd * Gs @ e, Sn)``, and a sweep draws them with the
+    normals ``z`` as ``base + sd * Gs @ e + Ln @ z``. So each chain iterates
+    only ``e`` (through the next sweep's ``-alpha``, linear in ``e`` and
+    ``z``), and the refresh averages the conditional moments over the kept
+    sweeps of all ``FIXED_CHAINS`` chains, never forming a coefficient
+    draw. The chains start at the prior mean and share each sweep's numpy
+    calls.
     """
     X, y, cens = _history_arrays(history)
     n, p = X.shape
-    k, N = len(cens.rows), burn_in + sweeps
+    k, N, C = len(cens.rows), burn_in + sweeps, FIXED_CHAINS
     s2 = noise_sd**2
 
     S0_inv = np.linalg.inv(prior.S)
@@ -391,32 +435,32 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     y0[cens.rows] = 0.0
     base = Sn @ (S0_inv @ prior.m + X.T @ y0 / s2) + Gs @ lower
 
-    # one block of variates per refresh, drawn before the chain runs
-    U = 1.0 - rng.random((N, k))  # in (0, 1]
-    V = np.empty((N, k + p))
-    V[:, k:] = rng.standard_normal((N, p))
+    # one block of variates per refresh, drawn before the chains run
+    U = 1.0 - rng.random((N, C, k))  # in (0, 1]
+    Z = rng.standard_normal((N, C, p))
 
-    # -alpha of the next sweep is c + AB @ [e, z]
-    c = (SX @ base - lower) / noise_sd
-    AB = np.hstack((SX @ Gs, SX @ Ln / noise_sd))
-    neg_alpha = (SX @ prior.m - lower) / noise_sd
+    # -alpha of a chain's next sweep is c + A @ e + B @ z; cz holds c + B @ z
+    cz = (SX @ base - lower) / noise_sd + Z @ (SX @ Ln).T / noise_sd
+    At = (SX @ Gs).T
+    neg_alpha = np.broadcast_to((SX @ prior.m - lower) / noise_sd, (C, k))
+    E = np.empty((N, C, k))
     excess = cens.excess
     for it in range(N):
-        V[it, :k] = excess(neg_alpha, noise_sd, U[it], rng)
-        neg_alpha = c + AB @ V[it]
+        E[it] = excess(neg_alpha, noise_sd, U[it], rng)
+        neg_alpha = cz[it] + E[it] @ At
 
-    W = np.vstack((noise_sd * Gs.T, Ln.T))
-    coef_draws = base + V[burn_in:] @ W
-    m = coef_draws.mean(axis=0)
-    S = np.cov(coef_draws, rowvar=False)
-    return PosteriorHyper(m, _ensure_pd(S), prior.a, prior.b)
+    # psi | e ~ N(base + sd Gs e, Sn): average the conditional moments
+    E = E[burn_in:].reshape(C * sweeps, k)
+    m = base + noise_sd * (Gs @ E.mean(axis=0))
+    S = Sn + s2 * (Gs @ _cov_rows(E) @ Gs.T)
+    return PosteriorHyper(m, S, prior.a, prior.b)
 
 
 def online_update(hyper: PosteriorHyper, record: ObservationRecord,
                   rng: np.random.Generator, mode: str = "single-imputation",
                   prior: PosteriorHyper | None = None,
                   history: list[ObservationRecord] | None = None,
-                  sweeps: int = 300, burn_in: int = 100,
+                  sweeps: int | None = None, burn_in: int | None = None,
                   noise_sd: float | None = None) -> PosteriorHyper:
     """Per-period posterior recursion.
 
@@ -425,8 +469,9 @@ def online_update(hyper: PosteriorHyper, record: ObservationRecord,
     truncated-normal imputation at the current posterior predictive
     (default) or by a Gibbs refresh over the retained history
     (``mode='gibbs-every-period'``, requires ``prior`` + ``history``
-    including the new record). ``noise_sd`` switches to the known-variance
-    Gaussian recursion throughout.
+    including the new record), whose chain length ``sweeps`` and ``burn_in``
+    default to ``GIBBS_CHAIN``'s. ``noise_sd`` switches to the
+    known-variance Gaussian recursion throughout.
     """
     if not record.censored and not record.floored:
         return conjugate_update(hyper, record.covariate, record.sales,
@@ -447,8 +492,8 @@ def online_update(hyper: PosteriorHyper, record: ObservationRecord,
     if mode == "gibbs-every-period":
         if prior is None or history is None:
             raise ValueError("gibbs mode needs the original prior and full history")
-        return gibbs_refresh(prior, history, sweeps, rng, burn_in=burn_in,
-                             noise_sd=noise_sd)
+        return gibbs_refresh(prior, history, rng, sweeps=sweeps,
+                             burn_in=burn_in, noise_sd=noise_sd)
     raise ValueError(f"unknown online update mode {mode!r}")
 
 

@@ -104,6 +104,13 @@ def test_config_error_unknown_field(outdir, tmp_path):
     assert run_cli(["simulate", "--config", str(cfg), "--out", outdir]) == 2
 
 
+def test_config_error_unknown_top_level_field(outdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"sigma_mode": "learn", "typo": 1}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", outdir]) == 2
+    assert "unknown config field" in capsys.readouterr().err
+
+
 def test_config_error_invalid_json(outdir, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

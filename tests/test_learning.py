@@ -148,15 +148,15 @@ def test_gibbs_no_censoring_matches_batch():
     history = [ObservationRecord(X[i], y[i], np.inf, False)
                for i in range(len(y))]
     batch = batch_conjugate_posterior(make_prior(), X, y)
-    chain = gibbs_refresh(make_prior(), history, 4000,
-                          rngmod.stream(37, "chain"), burn_in=500)
+    chain = gibbs_refresh(make_prior(), history, rngmod.stream(37, "chain"),
+                          sweeps=4000, burn_in=500)
     sd = np.sqrt(np.diag(batch.S) * batch.noise_variance_mean())
     # generous Monte Carlo band: the dedicated acceptance test is tighter
     np.testing.assert_allclose(chain.m, batch.m, atol=0.2 * sd.max())
 
 
 def test_gibbs_empty_history_returns_prior():
-    out = gibbs_refresh(make_prior(), [], 100, rngmod.stream(41, "g"))
+    out = gibbs_refresh(make_prior(), [], rngmod.stream(41, "g"))
     np.testing.assert_allclose(out.m, PRIOR_M)
     np.testing.assert_allclose(out.S, PRIOR_S)
 
@@ -166,8 +166,8 @@ def test_gibbs_censoring_shifts_mean_up():
     # posterior demand at that covariate must exceed the naive fit to sales
     x = np.array([1.0, 10.0, 12.0, 0.0])
     history = [ObservationRecord(x, 20.0, 20.0, True) for _ in range(25)]
-    chain = gibbs_refresh(make_prior(), history, 2000,
-                          rngmod.stream(43, "c"), burn_in=500)
+    chain = gibbs_refresh(make_prior(), history, rngmod.stream(43, "c"),
+                          sweeps=2000, burn_in=500)
     assert float(x @ chain.m) > 20.0
 
 
@@ -180,9 +180,8 @@ def test_gibbs_fixed_noise_matches_known_variance_posterior():
     S0_inv = np.linalg.inv(PRIOR_S)
     Sn = np.linalg.inv(S0_inv + X.T @ X / s2)
     mn = Sn @ (S0_inv @ PRIOR_M + X.T @ y / s2)
-    chain = gibbs_refresh(make_prior(), history, 4000,
-                          rngmod.stream(47, "chain"), burn_in=200,
-                          noise_sd=4.5)
+    chain = gibbs_refresh(make_prior(), history, rngmod.stream(47, "chain"),
+                          sweeps=4000, burn_in=200, noise_sd=4.5)
     se = np.sqrt(np.diag(Sn) / 4000)
     np.testing.assert_allclose(chain.m, mn, atol=5 * se.max() + 1e-3)
     np.testing.assert_allclose(chain.S, Sn, atol=0.15 * np.abs(Sn).max())
@@ -281,8 +280,13 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
     latents by the general samplers' formula on its row of the uniform
     block (the general samplers themselves past the tail cut), then the
     coefficients and, with the variance learned, the variance. It reads the
-    same blocks as ``gibbs_refresh``. Reference for the latent-excess
-    recursion and the shared excess draw."""
+    same blocks as ``gibbs_refresh`` and, with the noise sd fixed, runs the
+    same ``FIXED_CHAINS`` chains (a leading axis of its arrays). Its
+    estimate is Rao-Blackwellised in coefficient space: the mean and
+    covariance of the kept sweeps' conditional coefficient means, plus the
+    mean conditional covariance (``sigma2 Sn`` at the variance each draw
+    used). Reference for the latent-excess recursion, the shared excess
+    draw and the estimator on the rows' latents."""
     X = np.stack([np.asarray(r.covariate, dtype=float) for r in history])
     y = np.array([r.sales for r in history], dtype=float)
     stocks = np.array([r.stock for r in history], dtype=float)
@@ -290,47 +294,62 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
     floored = np.array([r.floored and not r.censored for r in history],
                        dtype=bool)
     n, p = X.shape
-    n_cens, N = int(cens.sum()), burn_in + sweeps
+    k, n_cens, N = int(cens.sum() + floored.sum()), int(cens.sum()), \
+        burn_in + sweeps
     learn = noise_sd is None
+    C = 1 if learn else learning.FIXED_CHAINS
     S0_inv = np.linalg.inv(prior.S)
     Sn = np.linalg.inv(S0_inv + X.T @ X / (1.0 if learn else noise_sd**2))
     Ln = np.linalg.cholesky(Sn)
     shape = prior.a + 0.5 * (n + p)
-    U = 1.0 - rng.random((N, n_cens + int(floored.sum())))
-    Z = rng.standard_normal((N, p))
+    # the learned-variance chain draws (N, k) and (N, p) blocks: the same
+    # variates as (N, 1, k) and (N, 1, p)
+    U = 1.0 - rng.random((N, k) if learn else (N, C, k)).reshape(N, C, k)
+    Z = rng.standard_normal((N, p) if learn else (N, C, p)).reshape(N, C, p)
     G = rng.gamma(shape, size=N) if learn else None
 
-    psi = prior.m.copy()
+    psi = np.tile(prior.m, (C, 1))
     sigma2 = prior.b / (prior.a + 1.0) if learn else noise_sd**2
-    coef_draws = np.empty((sweeps, p))
+    cond_means = np.empty((sweeps, C, p))
+    cond_vars = np.empty(sweeps)
     var_draws = np.empty(sweeps)
-    latent = y.copy()
+    latent = np.tile(y, (C, 1))
     for it in range(N):
         sd = np.sqrt(sigma2) if learn else noise_sd
-        mu_c, mu_f = X[cens] @ psi, X[floored] @ psi
-        alpha = np.concatenate(((stocks[cens] - mu_c) / sd, mu_f / sd))
+        mu_c, mu_f = psi @ X[cens].T, psi @ X[floored].T
+        alpha = np.concatenate(((stocks[cens] - mu_c) / sd, mu_f / sd),
+                               axis=1)
         if alpha.size and alpha.max() > 8.0:
-            latent[cens] = truncated_normal_lower(mu_c, sd, stocks[cens], rng)
-            latent[floored] = truncated_normal_upper(mu_f, sd, 0.0, rng)
+            latent[:, cens] = truncated_normal_lower(mu_c, sd, stocks[cens],
+                                                     rng)
+            latent[:, floored] = truncated_normal_upper(mu_f, sd, 0.0, rng)
         elif alpha.size:
-            latent[cens] = _general_draw(mu_c, sd, stocks[cens],
-                                         U[it, :n_cens])
-            latent[floored] = -_general_draw(-mu_f, sd, -0.0, U[it, n_cens:])
+            latent[:, cens] = _general_draw(mu_c, sd, stocks[cens],
+                                            U[it, :, :n_cens])
+            latent[:, floored] = -_general_draw(-mu_f, sd, -0.0,
+                                                U[it, :, n_cens:])
         if not learn:
-            psi = Sn @ (S0_inv @ prior.m + X.T @ latent / sigma2) + Ln @ Z[it]
+            mu = (S0_inv @ prior.m + latent @ X / sigma2) @ Sn
+            psi = mu + Z[it] @ Ln.T
         else:
-            psi = Sn @ (S0_inv @ prior.m + X.T @ latent) + sd * (Ln @ Z[it])
-            resid = latent - X @ psi
-            quad = float(resid @ resid
-                         + (psi - prior.m) @ S0_inv @ (psi - prior.m))
+            mu = (S0_inv @ prior.m + latent @ X) @ Sn
+            psi = mu + sd * (Z[it] @ Ln.T)
+        if it >= burn_in:
+            cond_means[it - burn_in] = mu
+            cond_vars[it - burn_in] = sigma2  # the variance psi was drawn at
+        if learn:
+            resid = latent[0] - X @ psi[0]
+            dev = psi[0] - prior.m
+            quad = float(resid @ resid + dev @ S0_inv @ dev)
             sigma2 = (prior.b + 0.5 * quad) / G[it]
         if it >= burn_in:
-            coef_draws[it - burn_in] = psi
             var_draws[it - burn_in] = sigma2
-    m = coef_draws.mean(axis=0)
+    cond_means = cond_means.reshape(sweeps * C, p)
+    m = cond_means.mean(axis=0)
+    coef_cov = (np.cov(cond_means, rowvar=False)
+                + (cond_vars.mean() if learn else 1.0) * Sn)
     if not learn:
-        S = np.cov(coef_draws, rowvar=False)
-        return PosteriorHyper(m, learning._ensure_pd(S), prior.a, prior.b)
+        return PosteriorHyper(m, coef_cov, prior.a, prior.b)
     v_mean = var_draws.mean()
     v_var = var_draws.var(ddof=1)
     if v_var > 0:
@@ -338,8 +357,7 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
         b = v_mean * (a - 1.0)
     else:
         a, b = prior.a + 0.5 * n, v_mean * (prior.a + 0.5 * n - 1.0)
-    S = np.cov(coef_draws, rowvar=False) / v_mean
-    return PosteriorHyper(m, S, a, b)
+    return PosteriorHyper(m, coef_cov / v_mean, a, b)
 
 
 def crafted_history(n=24):
@@ -436,8 +454,8 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
 
     r_lean, r_ref = rngmod.stream(79, "g"), rngmod.stream(79, "g")
     monkeypatch.setattr(learning, "truncated_normal_lower", counted)
-    got = gibbs_refresh(make_prior(), history, 300, r_lean, burn_in=100,
-                        noise_sd=noise_sd)
+    got = gibbs_refresh(make_prior(), history, r_lean, sweeps=300,
+                        burn_in=100, noise_sd=noise_sd)
     monkeypatch.undo()
     want = _reference_gibbs(make_prior(), history, 300, r_ref, 100,
                             noise_sd=noise_sd)
@@ -448,6 +466,50 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
     # on the censored history both the body draw and the far-tail fallback
     # ran
     assert (0 < len(fallbacks) < 2 * 400) if censored else not fallbacks
+
+
+def _edge_history(kind):
+    """Twelve uncensored rows plus exactly one censored row, or plus only
+    floored rows (zero sales where the prior predicts little demand)."""
+    X, y = random_design(rngmod.stream(101, "edge"), 12)
+    history = [ObservationRecord(X[i], y[i], 60.0, False) for i in range(12)]
+    if kind == "one-censored":
+        history[3] = ObservationRecord(X[3], y[3] - 2.0, y[3] - 2.0, True)
+    else:
+        x = np.array([1.0, 16.0, 8.0, 0.0])
+        history += [ObservationRecord(x, 0.0, 40.0, False, floored=True)] * 3
+    return history
+
+
+@pytest.mark.parametrize("noise_sd", [4.5, None])
+@pytest.mark.parametrize("kind", ["one-censored", "floored-only"])
+def test_gibbs_refresh_edge_histories(kind, noise_sd):
+    """A single latent row (its covariance is 1 x 1) and floored rows
+    alone: the estimator matches the coefficient-space reference, and S is
+    symmetric positive definite. With the noise sd fixed, S is at least the
+    complete-data covariance Sn: the latents' spread only adds to it."""
+    history = _edge_history(kind)
+    got = gibbs_refresh(make_prior(), history, rngmod.stream(103, kind),
+                        sweeps=75, burn_in=25, noise_sd=noise_sd)
+    want = _reference_gibbs(make_prior(), history, 75,
+                            rngmod.stream(103, kind), 25, noise_sd=noise_sd)
+    np.testing.assert_allclose(got.m, want.m, rtol=1e-10)
+    np.testing.assert_allclose(got.S, want.S, rtol=1e-10)
+    np.testing.assert_array_equal(got.S, got.S.T)
+    assert np.linalg.eigvalsh(got.S).min() > 0.0
+    if noise_sd is not None:
+        X = np.stack([r.covariate for r in history])
+        Sn = np.linalg.inv(np.linalg.inv(PRIOR_S) + X.T @ X / noise_sd**2)
+        assert np.linalg.eigvalsh(got.S - Sn).min() > -1e-12
+    if kind == "floored-only":  # zero sales pull the mean demand down
+        assert float(history[-1].covariate @ got.m) < float(
+            history[-1].covariate @ PRIOR_M)
+
+
+def test_gibbs_refresh_needs_two_sweeps():
+    with pytest.raises(ValueError, match="sweeps"):
+        gibbs_refresh(make_prior(), crafted_history(),
+                      rngmod.stream(107, "one"), sweeps=1, noise_sd=4.5)
 
 
 class _LoggedGenerator:
@@ -466,20 +528,22 @@ class _LoggedGenerator:
 @pytest.mark.parametrize("noise_sd", [4.5, None])
 def test_gibbs_refresh_draws_one_block_per_refresh(noise_sd):
     """Without a far-tail element a refresh makes exactly three requests
-    (two with the noise sd fixed): the uniforms of every sweep, the normals
-    of every sweep, the variance draws of every sweep, and no per-sweep
-    calls to the generator."""
+    (two with the noise sd fixed): the uniforms of every sweep (and chain),
+    the normals of every sweep, the variance draws of every sweep, and no
+    per-sweep calls to the generator."""
     history = crafted_history()[:-1]  # without the far-tail record
     n, p, k = len(history), 4, sum(r.censored or r.floored for r in history)
     N = 100 + 300
+    chains = (N,) if noise_sd is None else (N, learning.FIXED_CHAINS)
     rng = _LoggedGenerator(rngmod.stream(89, "block"))
-    gibbs_refresh(make_prior(), history, 300, rng, burn_in=100,
+    gibbs_refresh(make_prior(), history, rng, sweeps=300, burn_in=100,
                   noise_sd=noise_sd)
     twin = rngmod.stream(89, "block")
-    twin.random((N, k))
-    twin.standard_normal((N, p))
+    twin.random((*chains, k))
+    twin.standard_normal((*chains, p))
     shape = make_prior().a + 0.5 * (n + p)
-    want = [("random", ((N, k),), {}), ("standard_normal", ((N, p),), {})]
+    want = [("random", ((*chains, k),), {}),
+            ("standard_normal", ((*chains, p),), {})]
     if noise_sd is None:
         twin.gamma(shape, size=N)
         want.append(("gamma", (shape,), {"size": N}))
@@ -487,38 +551,103 @@ def test_gibbs_refresh_draws_one_block_per_refresh(noise_sd):
     assert rng.rng.random(8).tolist() == twin.random(8).tolist()
 
 
+def study_history(n=58):
+    """A history shaped like a simulated study's last refresh: prices 9-13,
+    stock at the bottom of the quantity grid plus some carried inventory,
+    a lagged rival stockout in about two rows of five, and 22 of its 58
+    rows censored."""
+    gen = rngmod.stream(97, "study")
+    X = np.column_stack([np.ones(n), gen.integers(9, 14, size=(n, 2)),
+                         gen.random(n) < 0.4])
+    demand = X @ TRUTH.coefficients() + TRUTH.sigma * gen.standard_normal(n)
+    stock = 20.0 + np.where(gen.random(n) < 0.5, 0.0, gen.uniform(0, 10, n))
+    sales = np.clip(demand, 0.0, stock)
+    return [ObservationRecord(X[i], sales[i], stock[i],
+                              bool(demand[i] >= stock[i]),
+                              floored=bool(demand[i] <= 0.0))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("noise_sd", [4.5, None])
+def test_online_update_runs_the_measured_chain(noise_sd):
+    """A refresh through ``online_update``, which the simulation calls
+    without chain lengths, runs ``GIBBS_CHAIN``'s burn-in + sweeps."""
+    burn_in, sweeps = learning.GIBBS_CHAIN["fixed" if noise_sd else "learn"]
+    chains = (learning.FIXED_CHAINS,) if noise_sd else ()
+    history = crafted_history()[:-1]  # without the far-tail record
+    k = sum(r.censored or r.floored for r in history)
+    rng = _LoggedGenerator(rngmod.stream(109, "chain"))
+    got = online_update(make_prior(), history[-3], rng,
+                        mode="gibbs-every-period", prior=make_prior(),
+                        history=history, noise_sd=noise_sd)
+    assert rng.log[0][:2] == ("random", ((burn_in + sweeps, *chains, k),))
+    want = gibbs_refresh(make_prior(), history, rngmod.stream(109, "chain"),
+                         sweeps=sweeps, burn_in=burn_in, noise_sd=noise_sd)
+    np.testing.assert_array_equal(got.m, want.m)
+    np.testing.assert_array_equal(got.S, want.S)
+
+
 # Two-sided false-alarm rate of one bias comparison below; the test makes
-# eight (4 coefficients x 2 chains), so a correct sampler fails for about
-# one seed choice in 1,250.
+# sixteen (4 coefficients x 2 histories x 2 chains), so a correct sampler
+# fails for about one seed choice in 625.
 MC_FALSE_ALARM = 1e-4
 MC_Z = float(norm.ppf(1 - MC_FALSE_ALARM / 2))  # 3.89
+# Per-coefficient RMS error of one refresh relative to the posterior sd, for
+# one chain of 100 burn-in + 300 sweeps averaging the coefficient draws (the
+# refresh before Rao-Blackwellisation): 800 refreshes against this test's
+# reference chains. A refresh at GIBBS_CHAIN's lengths must be no less
+# accurate on any coefficient.
+OLD_CHAIN_RMSE = {
+    ("fixed", "crafted"): [0.069, 0.069, 0.064, 0.069],
+    ("fixed", "study"): [0.072, 0.088, 0.079, 0.072],
+    ("learn", "crafted"): [0.092, 0.092, 0.076, 0.073],
+    ("learn", "study"): [0.092, 0.110, 0.079, 0.076],
+}
+# RMS over refreshes of the largest error of the coefficient covariance,
+# elementwise in units of sqrt(S_ii S_jj). The old chain measured 0.135-0.146
+# with the noise sd fixed and 0.168 with it learned on both histories; the
+# Rao-Blackwellised chains at GIBBS_CHAIN's lengths 0.03-0.05 and 0.09-0.10.
+MC_S_BOUND = {"fixed": 0.12, "learn": 0.15}
 
 
 @pytest.mark.parametrize("noise_sd", [4.5, None])
 def test_gibbs_refresh_monte_carlo_error(noise_sd):
-    """Monte Carlo error of one refresh at the simulation's 100 burn-in +
-    300 sweeps, against a 20,000-sweep reference chain on the same
-    censored history."""
-    history = crafted_history()
-    ref = gibbs_refresh(make_prior(), history, 20_000,
-                        rngmod.stream(83, "ref"), burn_in=1000,
-                        noise_sd=noise_sd)
-    k, sweeps = 24, 300
-    ms = np.array([gibbs_refresh(make_prior(), history, sweeps,
-                                 rngmod.stream(83, "short", i), burn_in=100,
-                                 noise_sd=noise_sd).m for i in range(k)])
-    err = ms - ref.m
-    # se of the mean error from the short chains' own spread; the reference
-    # chain's error is that of a chain 20,000 / 300 times longer
-    spread = ms.std(axis=0, ddof=1)
-    se = spread * np.sqrt(1.0 / k + sweeps / 20_000)
-    assert np.all(np.abs(err.mean(axis=0)) <= MC_Z * se), err.mean(axis=0) / se
-    # RMS error of one refresh relative to the posterior sd: 0.07-0.10 per
-    # coefficient on both chains when this test was written. A change to the
-    # draws (block draws, warm starts, shorter burn-in) keeps it below 0.2.
-    post_var = np.diag(ref.S) * (1.0 if noise_sd else ref.noise_variance_mean())
-    rel_rmse = np.sqrt(np.mean(err**2, axis=0) / post_var)
-    assert np.all(rel_rmse < 0.2), rel_rmse
+    """Monte Carlo error of one refresh at the simulation's chain length
+    (``learning.GIBBS_CHAIN``), against a refresh of 20,000 sweeps per
+    chain on the same censored history: the crafted one and a study-like
+    one."""
+    mode = "fixed" if noise_sd else "learn"
+    sweeps = learning.GIBBS_CHAIN[mode][1]
+    k = 100
+    for name, history in (("crafted", crafted_history()),
+                          ("study", study_history())):
+        ref = gibbs_refresh(make_prior(), history, rngmod.stream(83, "ref"),
+                            sweeps=20_000, burn_in=1000, noise_sd=noise_sd)
+        outs = [gibbs_refresh(make_prior(), history,
+                              rngmod.stream(83, "short", i), noise_sd=noise_sd)
+                for i in range(k)]
+        ms = np.array([o.m for o in outs])
+        err = ms - ref.m
+        # se of the mean error from the short chains' own spread; the
+        # reference chain's error is that of a chain 20,000 / sweeps times
+        # longer
+        spread = ms.std(axis=0, ddof=1)
+        se = spread * np.sqrt(1.0 / k + sweeps / 20_000)
+        assert np.all(np.abs(err.mean(axis=0)) <= MC_Z * se), \
+            err.mean(axis=0) / se
+        cov = [o.S * (1.0 if noise_sd else o.noise_variance_mean())
+               for o in (ref, *outs)]
+        post_var = np.diag(cov[0])
+        rel_rmse = np.sqrt(np.mean(err**2, axis=0) / post_var)
+        # 0.03-0.07 with the noise sd fixed and 0.04-0.09 with it learned
+        # when this was written; its sampling error over 100 refreshes is
+        # about 7% of it. A change to the draws or the chain keeps it below
+        # 0.2 and below the old chain's.
+        assert np.all(rel_rmse < 0.2), rel_rmse
+        assert np.all(rel_rmse <= OLD_CHAIN_RMSE[mode, name]), rel_rmse
+        scale = np.sqrt(np.outer(post_var, post_var))
+        s_err = np.array([(np.abs(c - cov[0]) / scale).max() for c in cov[1:]])
+        assert np.sqrt(np.mean(s_err**2)) < MC_S_BOUND[mode], s_err
 
 
 # ------------------------------------------------------------ PD repair
