@@ -9,9 +9,11 @@ byte-identical trees. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -21,13 +23,13 @@ import time
 import numpy as np
 
 from . import __version__, rng as rngmod
-from .learning import PosteriorHyper, TypeBelief
-from .market import SALVAGE_MODES, DemandParams, FirmType
+from .learning import TypeBelief
+from .market import SALVAGE_MODES, DemandParams
 from .equilibrium import (EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
                           contraction_check, equilibrium_iteration,
                           value_iterate)
-from .policy import POLICIES, BeliefState, PolicyConfig, select_action
+from .policy import POLICIES, BeliefState, select_action
 from .simharness import (SimConfig, bootstrap_diff, run_experiment,
                          summarize_relative)
 
@@ -35,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
-
-DEFAULT_SEED = 20240
 
 
 class ConfigError(ValueError):
@@ -81,50 +81,14 @@ def _timestamp() -> str:
 
 # ------------------------------------------------------------- configuration
 
-SIM_DEFAULTS = {
-    "horizon": 30,
-    "replications": 150,
-    "delta": 0.98,
-    "true_params": {"beta0": 45.0, "beta1": -3.6, "beta2": 1.2,
-                    "beta3": 7.5, "sigma": 4.5},
-    "cost_low": 6.0,
-    "cost_high": 10.0,
-    "high_cost_prob": [0.5, 0.5],
-    "holding": 0.8,
-    "salvage": 1.5,
-    "price_grid": [float(p) for p in range(8, 17)],
-    "quantity_grid": [float(q) for q in range(20, 70, 5)],
-    "prior_mean": [35.0, -2.0, 0.5, 3.0],
-    "prior_sd": [10.0, 2.0, 2.0, 4.0],
-    "prior_a": 3.0,
-    "prior_b": 40.5,
-    "kappa": 0.6,
-    "predictive_samples": 500,
-    "master_seed": DEFAULT_SEED,
-    "salvage_mode": "per-period",
-    "sigma_mode": "fixed",
-    "learning_mode": "gibbs-every-period",
-    "rival_forecast": "last-action",
-    "type_likelihood_temperature": 1.0,
-    "bootstrap_resamples": 10000,
-    "bootstrap_level": 0.95,
-    "policies": list(POLICIES),
-}
+SIM_DEFAULTS = {**dataclasses.asdict(SimConfig()), "policies": list(POLICIES)}
 
+# the action grids come from the simulation section; node_budget is a guard
+# of the solver, not a setting of the study
 EQ_DEFAULTS = {
-    "inventory_axis": [0.0, 10.0, 20.0, 30.0],
-    "intercept_axis": [30.0, 37.5, 45.0, 52.5],
-    "belief_axis": [0.0, 0.5, 1.0],
-    "delta": 0.98,
-    "kappa": 0.6,
-    "quad_points": 8,
-    "tol": 1e-6,
-    "max_iter": 5000,
-    "sweep_cap": 25,
-    "refresh_trajectories": 0,
-    "refresh_horizon": 10,
+    **{f.name: f.default for f in dataclasses.fields(EquilibriumConfig)
+       if f.name not in ("price_grid", "quantity_grid", "node_budget")},
     "contraction_trials": 100,
-    "contraction_seed": 7,
 }
 
 
@@ -141,87 +105,75 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        for key in raw:
-            if key not in merged:
-                raise ConfigError(f"unknown config field {key}")
-        for section in ("simulation", "equilibrium"):
-            part = raw.get(section, {})
+        for section, part in raw.items():
+            if section not in merged:
+                raise ConfigError(f"unknown config field {section}")
             if not isinstance(part, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
             for key, value in part.items():
                 if key not in merged[section]:
                     raise ConfigError(f"unknown config field {section}.{key}")
                 merged[section][key] = value
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        merged["simulation"][key] = value
+    merged["simulation"].update(
+        (key, value) for key, value in overrides.items() if value is not None)
     return merged
 
 
-def build_sim_config(cfg: dict) -> SimConfig:
-    sim = cfg["simulation"]
+_KINDS = {"int": "an integer", "float": "a finite number", "str": "a string",
+          "tuple": "a list of numbers", "DemandParams": "an object"}
+
+
+def _coerce(name: str, kind: str, value):
+    """The one coercion per field annotation of the config dataclasses."""
+    if kind == "DemandParams" and isinstance(value, dict):
+        known = {f.name for f in dataclasses.fields(DemandParams)}
+        for key in value:
+            if key not in known:
+                raise ConfigError(f"unknown config field {name}.{key}")
+        return _build(DemandParams, name, value)
+    if kind == "tuple" and isinstance(value, (list, tuple)):
+        return tuple(_coerce(f"{name}[{i}]", "float", v) for i, v in enumerate(value))
+    if kind == "str" and isinstance(value, str):
+        return value
+    if kind == "int" and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind == "float" and isinstance(value, (int, float)) \
+            and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _build(cls, name: str, values: dict, **given):
+    """Construct dataclass ``cls`` from a config section, field by field."""
+    kwargs = {f.name: _coerce(f"{name}.{f.name}", f.type, values[f.name])
+              for f in dataclasses.fields(cls) if f.name in values}
     try:
-        tp = sim["true_params"]
-        return SimConfig(
-            horizon=int(sim["horizon"]),
-            replications=int(sim["replications"]),
-            delta=float(sim["delta"]),
-            true_params=DemandParams(float(tp["beta0"]), float(tp["beta1"]),
-                                     float(tp["beta2"]), float(tp["beta3"]),
-                                     float(tp["sigma"])),
-            cost_low=float(sim["cost_low"]),
-            cost_high=float(sim["cost_high"]),
-            high_cost_prob=tuple(float(v) for v in sim["high_cost_prob"]),
-            holding=float(sim["holding"]),
-            salvage=float(sim["salvage"]),
-            price_grid=tuple(float(v) for v in sim["price_grid"]),
-            quantity_grid=tuple(float(v) for v in sim["quantity_grid"]),
-            prior_mean=tuple(float(v) for v in sim["prior_mean"]),
-            prior_sd=tuple(float(v) for v in sim["prior_sd"]),
-            prior_a=float(sim["prior_a"]),
-            prior_b=float(sim["prior_b"]),
-            kappa=float(sim["kappa"]),
-            predictive_samples=int(sim["predictive_samples"]),
-            master_seed=int(sim["master_seed"]),
-            salvage_mode=str(sim["salvage_mode"]),
-            sigma_mode=str(sim["sigma_mode"]),
-            learning_mode=str(sim["learning_mode"]),
-            rival_forecast=str(sim["rival_forecast"]),
-            type_likelihood_temperature=float(sim["type_likelihood_temperature"]),
-            bootstrap_resamples=int(sim["bootstrap_resamples"]),
-            bootstrap_level=float(sim["bootstrap_level"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulation config: {exc}") from exc
+        return cls(**kwargs, **given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name} config: {exc}") from exc
+
+
+def build_sim_config(cfg: dict) -> SimConfig:
+    return _build(SimConfig, "simulation", cfg["simulation"])
 
 
 def _requested_policies(cfg: dict) -> tuple:
-    policies = tuple(cfg["simulation"]["policies"])
-    for p in policies:
-        if p not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {p!r}; valid: {', '.join(POLICIES)}")
-    if not policies:
-        raise ConfigError("at least one policy must be requested")
-    return policies
+    policies = cfg["simulation"]["policies"]
+    if not (isinstance(policies, list) and policies
+            and all(p in POLICIES for p in policies)):
+        raise ConfigError("simulation.policies must be a nonempty list of "
+                          f"{', '.join(POLICIES)}; got {policies!r}")
+    return tuple(policies)
 
 
 # ------------------------------------------------------------------ simulate
 
 def _summary_payload(summary, relative) -> dict:
-    payload = {"policies": {}, "relative_improvement": relative}
+    policies = {}
     for name, s in summary.policies.items():
-        payload["policies"][name] = {
-            "replications": s.replications,
-            "mean_market_profit": s.mean_market_profit,
-            "sd_market_profit": s.sd_market_profit,
-            "median_market_profit": s.median_market_profit,
-            "mean_final_mse": s.mean_final_mse,
-            "sd_final_mse": s.sd_final_mse,
-            "mean_firm_profit": list(s.mean_firm_profit),
-        }
-    return payload
+        policies[name] = dataclasses.asdict(s)
+        del policies[name]["policy"], policies[name]["curves"]
+    return {"policies": policies, "relative_improvement": relative}
 
 
 def _objective_surface_rows(config: SimConfig):
@@ -243,16 +195,14 @@ def cmd_simulate(args) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        overrides = {
+        cfg = load_config(args.config, {
             "replications": args.replications,
             "horizon": args.horizon,
             "master_seed": args.seed,
             "kappa": args.kappa,
             "salvage_mode": args.salvage_mode,
-        }
-        cfg = load_config(args.config, overrides)
-        if args.policy:
-            cfg["simulation"]["policies"] = list(args.policy)
+            "policies": args.policy,
+        })
         sim_config = build_sim_config(cfg)
         policies = _requested_policies(cfg)
     except ConfigError as exc:
@@ -278,16 +228,7 @@ def cmd_simulate(args) -> int:
                 level=sim_config.bootstrap_level, rng=boot_rng,
                 a_mse=[r.final_mse for r in proposed],
                 b_mse=[r.final_mse for r in base])
-            bootstrap[baseline] = {
-                "mean_diff_profit": report.mean_diff_profit,
-                "profit_ci": list(report.profit_ci),
-                "mean_diff_mse": report.mean_diff_mse,
-                "mse_ci": list(report.mse_ci),
-                "sample_mean_diff_profit": report.sample_mean_diff_profit,
-                "sample_mean_diff_mse": report.sample_mean_diff_mse,
-                "resamples": report.resamples,
-                "level": report.level,
-            }
+            bootstrap[baseline] = dataclasses.asdict(report)
 
     try:
         _write_simulate_outputs(args.out, cfg, sim_config, policies, summary,
@@ -373,26 +314,10 @@ def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
 # --------------------------------------------------------------- equilibrium
 
 def build_eq_inputs(cfg: dict):
-    eq = cfg["equilibrium"]
     sim = build_sim_config(cfg)
-    try:
-        eq_config = EquilibriumConfig(
-            inventory_axis=tuple(float(v) for v in eq["inventory_axis"]),
-            intercept_axis=tuple(float(v) for v in eq["intercept_axis"]),
-            belief_axis=tuple(float(v) for v in eq["belief_axis"]),
-            price_grid=sim.price_grid,
-            quantity_grid=sim.quantity_grid,
-            delta=float(eq["delta"]),
-            kappa=float(eq["kappa"]),
-            quad_points=int(eq["quad_points"]),
-            tol=float(eq["tol"]),
-            max_iter=int(eq["max_iter"]),
-            sweep_cap=int(eq["sweep_cap"]),
-            refresh_trajectories=int(eq["refresh_trajectories"]),
-            refresh_horizon=int(eq["refresh_horizon"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid equilibrium config: {exc}") from exc
+    eq_config = _build(EquilibriumConfig, "equilibrium", cfg["equilibrium"],
+                       price_grid=sim.price_grid,
+                       quantity_grid=sim.quantity_grid)
     low = sim.firm_type(sim.cost_low)
     high = sim.firm_type(sim.cost_high)
     model = EquilibriumModel(
@@ -406,6 +331,8 @@ def cmd_equilibrium(args) -> int:
     try:
         cfg = load_config(args.config, {"master_seed": args.seed})
         eq_config, model, sim = build_eq_inputs(cfg)
+        trials = _coerce("equilibrium.contraction_trials", "int",
+                         cfg["equilibrium"]["contraction_trials"])
         grid = build_belief_grid(eq_config)
     except ValueError as exc:  # a ConfigError, or axes build_belief_grid rejects
         print(f"config error: {exc}", file=sys.stderr)
@@ -425,13 +352,11 @@ def cmd_equilibrium(args) -> int:
             vf, _, _ = value_iterate(grid, rival_pols, eq_config, model,
                                      firm_type=model.firm_types[0 if firm == "firm1" else 1])
             values[firm] = vf.values
-        except NonConvergenceError as exc:
+        except NonConvergenceError:
             values[firm] = np.full(grid.n_nodes, np.nan)
 
     check_rng = rngmod.stream(sim.master_seed, "contraction")
-    report = contraction_check(grid, model, pol2,
-                               int(cfg["equilibrium"]["contraction_trials"]),
-                               check_rng, eq_config)
+    report = contraction_check(grid, model, pol2, trials, check_rng, eq_config)
 
     try:
         os.makedirs(args.out, exist_ok=True)

@@ -54,11 +54,11 @@ class EquilibriumConfig:
     ``sweep_cap`` bounds the rounds of alternating best responses.
     """
 
-    inventory_axis: tuple
-    intercept_axis: tuple
-    belief_axis: tuple
     price_grid: tuple
     quantity_grid: tuple
+    inventory_axis: tuple = (0.0, 10.0, 20.0, 30.0)
+    intercept_axis: tuple = (30.0, 37.5, 45.0, 52.5)
+    belief_axis: tuple = (0.0, 0.5, 1.0)
     delta: float = 0.98
     kappa: float = 0.6
     quad_points: int = 8

@@ -69,6 +69,9 @@ class PosteriorDegenerateError(RuntimeError):
 def _ensure_pd(S: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
     """Symmetrize and verify positive definiteness, with a jitter retry."""
     S = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(S)):
+        # cholesky does not raise on NaN, so a NaN matrix would pass
+        raise PosteriorDegenerateError("posterior scale matrix is not finite")
     try:
         np.linalg.cholesky(S)
         return S

@@ -70,6 +70,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
+        if self.predictive_samples < 2:
+            raise ValueError("predictive_samples must be >= 2")
         for grid in (self.price_grid, self.quantity_grid):
             if len(grid) == 0:
                 raise ValueError("action grids must be nonempty")
@@ -191,7 +193,7 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
-                     sigma_mode: str = "learn", fixed_sigma: float = 4.5):
+                     sigma_mode: str, fixed_sigma: float):
     """Common draw set for one decision: coefficients, noise sd, noise z."""
     chol = np.linalg.cholesky(hyper.S)
     if sigma_mode == "fixed":
@@ -227,8 +229,6 @@ def predictive_profit_moments(state: BeliefState, candidate: Action,
                               rival_forecast: Action, config: PolicyConfig,
                               rng: np.random.Generator) -> tuple[float, float]:
     """Posterior-predictive profit mean and sd for a single candidate action."""
-    if config.predictive_samples < 2:
-        raise ValueError("predictive_samples must be >= 2")
     draws = predictive_draws(state.demand_posterior, config.predictive_samples,
                              rng, config.sigma_mode, config.fixed_sigma)
     means, sds = _profit_moments(state, rival_forecast, config, draws,
@@ -267,8 +267,6 @@ def select_action(state: BeliefState, config: PolicyConfig, policy: str,
         sds = np.zeros_like(means)
         kappa = 0.0
     else:
-        if config.predictive_samples < 2:
-            raise ValueError("predictive_samples must be >= 2")
         kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
         rival = forecast_rival_action(state, config)
         draws = predictive_draws(state.demand_posterior, config.predictive_samples,

@@ -15,8 +15,8 @@ import numpy as np
 from . import rng as rngmod
 from .learning import (ObservationRecord, PosteriorHyper, TypeBelief,
                        online_update, posterior_mse, update_type_belief)
-from .market import (SALVAGE_MODES, Action, DemandParams, FirmType,
-                     MarketState, simulate_period)
+from .market import (Action, DemandParams, FirmType, MarketState,
+                     simulate_period)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      _closed_form_grid_scores, select_action)
 
@@ -72,13 +72,27 @@ class SimConfig:
             raise ValueError("discount factor must lie in (0, 1)")
         if not self.cost_low < self.cost_high:
             raise ValueError("cost_low must be below cost_high")
-        if self.salvage_mode not in SALVAGE_MODES:
-            raise ValueError(f"salvage_mode must be one of {SALVAGE_MODES}")
         if self.sigma_mode not in ("learn", "fixed"):
             raise ValueError("sigma_mode must be 'learn' or 'fixed'")
         if self.learning_mode not in ("single-imputation", "gibbs-every-period"):
             raise ValueError("unknown learning_mode "
                              f"{self.learning_mode!r}")
+        if len(self.high_cost_prob) != 2 or not all(
+                0.0 <= p <= 1.0 for p in self.high_cost_prob):
+            raise ValueError("high_cost_prob must be two probabilities in [0, 1]")
+        if not len(self.prior_mean) == len(self.prior_sd) == 4:
+            raise ValueError("prior_mean and prior_sd need 4 entries each")
+        if not self.prior_a > 1.0:
+            raise ValueError("prior_a must exceed 1")
+        if not self.type_likelihood_temperature > 0.0:
+            raise ValueError("type_likelihood_temperature must be positive")
+        if not 0.0 < self.bootstrap_level < 1.0:
+            raise ValueError("bootstrap_level must lie in (0, 1)")
+        # build once what every replication builds, so their checks run now
+        self.policy_config()
+        self.prior_hyper()
+        self.firm_type(self.cost_low)
+        self.firm_type(self.cost_high)
 
     def prior_hyper(self) -> PosteriorHyper:
         return PosteriorHyper(

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from crgame import cli, equilibrium
-from crgame.equilibrium import NonConvergenceError
+from crgame.equilibrium import EquilibriumConfig, NonConvergenceError
+from crgame.simharness import SimConfig
 
 FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
              "--threads", "2"]
@@ -122,15 +123,58 @@ def test_config_error_missing_file(outdir):
                     "--out", outdir]) == 2
 
 
-def test_config_error_bad_value(outdir, tmp_path):
+def _bad(command, config, field, flags=()):
+    keys = [key for section in config.values() for key in section]
+    return pytest.param(command, config, list(flags), field,
+                        id="-".join([command, *keys]) + "".join(flags))
+
+
+TRUE_PARAMS = {"beta0": 45.0, "beta1": -3.6, "beta2": 1.2, "beta3": 7.5,
+               "sigma": 4.5}
+
+# (subcommand, config file, text the error must contain, extra flags)
+BAD_VALUES = [
+    _bad("simulate", {"simulation": {"delta": 1.7}}, "discount factor"),
+    _bad("equilibrium", {"equilibrium": {"tol": 0.0}}, "tol"),
+    _bad("equilibrium", {"equilibrium": {"belief_axis": [0.0, 0.5, 1.5]}},
+         "belief"),
+    _bad("simulate", {"simulation": {"high_cost_prob": [0.5]}}, "high_cost_prob"),
+    _bad("simulate", {"simulation": {"rival_forecast": "bogus"}}, "bogus"),
+    _bad("simulate", {"simulation": {"predictive_samples": 1}},
+         "predictive_samples"),
+    _bad("simulate", {"simulation": {"prior_a": 1.0}}, "prior_a"),
+    _bad("simulate", {"simulation": {"holding": -1}}, "holding"),
+    _bad("simulate", {"simulation": {"salvage_mode": "never"}}, "salvage mode"),
+    _bad("simulate", {"simulation": {"prior_sd": [1, 2, 3]}}, "prior_sd"),
+    _bad("simulate", {}, "kappa", flags=("--kappa", "-1")),
+    _bad("simulate", {"simulation": {"bootstrap_level": 7}}, "bootstrap_level"),
+    _bad("simulate", {"simulation": {"type_likelihood_temperature": 0}},
+         "type_likelihood_temperature"),
+    _bad("simulate", {"simulation": {"replications": 2.7}},
+         "simulation.replications"),
+    _bad("simulate", {"simulation": {"horizon": True}}, "simulation.horizon"),
+    _bad("simulate", {"simulation": {"prior_mean": "1234"}},
+         "simulation.prior_mean"),
+    _bad("simulate", {"simulation": {"true_params": dict(TRUE_PARAMS, gamma=1.0)}},
+         "simulation.true_params.gamma"),
+    _bad("simulate", {"simulation": {"policies": []}}, "simulation.policies"),
+    _bad("equilibrium", {"equilibrium": {"contraction_trials": "many"}},
+         "equilibrium.contraction_trials"),
+    _bad("equilibrium", {"equilibrium": {"contraction_seed": 7}},
+         "equilibrium.contraction_seed"),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, field", BAD_VALUES)
+def test_config_error_bad_value(outdir, tmp_path, capsys, command, config,
+                                flags, field):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"simulation": {"delta": 1.7}}))
-    assert run_cli(["simulate", "--config", str(cfg), "--out", outdir,
-                    *FAST_ARGS]) == 2
-    cfg.write_text(json.dumps({"equilibrium": {"tol": 0.0}}))
-    assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
-    cfg.write_text(json.dumps({"equilibrium": {"belief_axis": [0.0, 0.5, 1.5]}}))
-    assert run_cli(["equilibrium", "--config", str(cfg), "--out", outdir]) == 2
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", outdir, *flags,
+                    "--seed", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+    assert not os.path.exists(outdir)
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -214,6 +258,21 @@ def test_config_hash_stable_under_key_order():
     h1 = cli.config_hash({"b": 1, "a": [1, 2]})
     h2 = cli.config_hash({"a": [1, 2], "b": 1})
     assert h1 == h2 and len(h1) == 64
+
+
+def test_default_config_hash_is_pinned():
+    # the manifest records this hash: a change to a default or to the config
+    # schema must show up here as a deliberate edit
+    assert cli.config_hash(cli.load_config(None, {})) == (
+        "7bd93da85050aace6980a4982426768a2128708a09b56b5c8f0bdcafd9d735fe")
+
+
+def test_default_config_builds_the_dataclass_defaults():
+    cfg = cli.load_config(None, {})
+    assert cli.build_sim_config(cfg) == SimConfig()
+    eq_config, _, sim = cli.build_eq_inputs(cfg)
+    assert eq_config == EquilibriumConfig(price_grid=sim.price_grid,
+                                          quantity_grid=sim.quantity_grid)
 
 
 def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,

@@ -676,3 +676,14 @@ def test_ensure_pd_passes_symmetrizes_repairs_and_raises():
         learning._ensure_pd(-np.eye(3))
     with pytest.raises(learning.PosteriorDegenerateError):
         PosteriorHyper(PRIOR_M, -PRIOR_S, 3.0, 40.5)
+
+
+def test_ensure_pd_rejects_non_finite():
+    S = np.full((2, 2), np.nan)
+    np.linalg.cholesky(S)  # does not raise on NaN: only a finiteness check can
+    with pytest.raises(learning.PosteriorDegenerateError):
+        learning._ensure_pd(S)
+    S = PRIOR_S.copy()
+    S[1, 2] = S[2, 1] = np.inf
+    with pytest.raises(learning.PosteriorDegenerateError):
+        PosteriorHyper(PRIOR_M, S, 3.0, 40.5)
