@@ -23,8 +23,8 @@ from .policy import (POLICIES, BeliefState, PolicyConfig,
                      select_action)
 from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,
                           EquilibriumModel, GridPolicy, IterationDiagnostics,
-                          NonConvergenceError, ValueFunction, bellman_apply,
-                          build_belief_grid, build_dynamics, contraction_check,
+                          NonConvergenceError, build_belief_grid,
+                          build_dynamics, contraction_check,
                           equilibrium_iteration, myopic_policy, value_iterate)
 from .simharness import (BootstrapReport, ExperimentSummary, PolicySummary,
                          ReplicationRecord, SimConfig, bootstrap_diff,

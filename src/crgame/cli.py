@@ -27,8 +27,8 @@ from .learning import TypeBelief
 from .market import SALVAGE_MODES, DemandParams
 from .equilibrium import (EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
-                          contraction_check, equilibrium_iteration,
-                          value_iterate)
+                          contraction_check, equilibrium_iteration)
+from .equilibrium import value_iterate  # noqa: F401  (perfbench traces cli.value_iterate)
 from .policy import POLICIES, BeliefState, select_action
 from .simharness import (SimConfig, bootstrap_diff, run_experiment,
                          summarize_relative)
@@ -333,6 +333,9 @@ def cmd_equilibrium(args) -> int:
         eq_config, model, sim = build_eq_inputs(cfg)
         trials = _coerce("equilibrium.contraction_trials", "int",
                          cfg["equilibrium"]["contraction_trials"])
+        if trials < 1:
+            raise ConfigError(
+                f"equilibrium.contraction_trials must be >= 1, got {trials}")
         grid = build_belief_grid(eq_config)
     except ValueError as exc:  # a ConfigError, or axes build_belief_grid rejects
         print(f"config error: {exc}", file=sys.stderr)
@@ -340,23 +343,18 @@ def cmd_equilibrium(args) -> int:
 
     eq_rng = rngmod.stream(sim.master_seed, "equilibrium")
     try:
-        (pol1, pol2), diag = equilibrium_iteration(eq_config, model, rng=eq_rng)
+        (pol1, pol2), values, model, diag = equilibrium_iteration(
+            eq_config, model, rng=eq_rng)
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-
-    values = {}
-    # each firm's best response is to the rival's policy pair
-    for firm, rival_pols in (("firm1", pol2), ("firm2", pol1)):
-        try:
-            vf, _, _ = value_iterate(grid, rival_pols, eq_config, model,
-                                     firm_type=model.firm_types[0 if firm == "firm1" else 1])
-            values[firm] = vf.values
-        except NonConvergenceError:
-            values[firm] = np.full(grid.n_nodes, np.nan)
+    # each firm's values as its actual type, from the iteration's last round
+    value1, value2 = (values[f][model.rival_types.index(model.firm_types[f])]
+                      for f in (0, 1))
 
     check_rng = rngmod.stream(sim.master_seed, "contraction")
-    report = contraction_check(grid, model, pol2, trials, check_rng, eq_config)
+    report = contraction_check(grid, model, pol2, trials, check_rng, eq_config,
+                               model.firm_types[0])
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -373,7 +371,7 @@ def cmd_equilibrium(args) -> int:
         rows = []
         for n in range(grid.n_nodes):
             inv, m0, mu = grid.nodes[n]
-            rows.append((inv, m0, mu, values["firm1"][n], values["firm2"][n]))
+            rows.append((inv, m0, mu, value1[n], value2[n]))
         write_csv(os.path.join(args.out, "values.csv"),
                   ["inventory", "intercept_mean", "rival_high_cost_prob",
                    "value_firm1", "value_firm2"], rows)

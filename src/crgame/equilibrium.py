@@ -22,7 +22,6 @@ __all__ = [
     "EquilibriumConfig",
     "EquilibriumModel",
     "BeliefGrid",
-    "ValueFunction",
     "GridPolicy",
     "IterationDiagnostics",
     "DiscretizedDynamics",
@@ -30,7 +29,6 @@ __all__ = [
     "build_belief_grid",
     "build_dynamics",
     "bellman_core",
-    "bellman_apply",
     "value_iterate",
     "equilibrium_iteration",
     "contraction_check",
@@ -110,11 +108,6 @@ class BeliefGrid:
 
 
 @dataclass
-class ValueFunction:
-    values: np.ndarray
-
-
-@dataclass
 class GridPolicy:
     """Per-node flat action index into the price-major action grid."""
 
@@ -188,79 +181,58 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     (low, high); the rival is assumed to act from the mirrored node. Rewards
     are credible-risk scores over the joint (rival type, demand noise)
     mixture; the type-belief transition follows Bayes' rule against the
-    rival's deterministic per-type policies.
+    rival's deterministic per-type policies. One pass per price: sales,
+    leftover stock and profit broadcast over the quantity grid.
     """
     prices = np.asarray(config.price_grid, dtype=float)
     quants = np.asarray(config.quantity_grid, dtype=float)
     n_q = quants.size
-    n_act = prices.size * n_q
     zq, wq = _hermite_rule(config.quad_points)
-    k_q = zq.size
     n_nodes = grid.n_nodes
-    n_types = len(rival_policies)
-    sigma = model.sigma()
+    sigma, coef, S = model.sigma(), model.hyper.m, model.hyper.S
 
-    inv = grid.nodes[:, 0]
-    m0 = grid.nodes[:, 1]
-    mu_hi = grid.nodes[:, 2]
-    type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)[:, :n_types]
-    if n_types == 1:
-        type_probs = np.ones((n_nodes, 1))
-
-    coef = model.hyper.m
-    reward = np.empty((n_nodes, n_act))
-    next_idx = np.empty((n_nodes, n_act, n_types, k_q), dtype=np.int64)
+    inv, m0, mu_hi = grid.nodes.T
+    type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)                 # (N, B)
+    w_joint = (type_probs[:, :, None] * wq[None, None, :])[:, None]    # (N, 1, B, K)
 
     rival_actions = np.stack([pol.actions for pol in rival_policies], axis=1)  # (N, B)
-    rp_all = prices[rival_actions // n_q]  # (N, B) rival price per node/type
+    rp = prices[rival_actions // n_q]  # (N, B) rival price per node/type
+    # a separating rival reveals its type; a pooling one leaves the belief
+    separating = (rival_actions[:, 0] != rival_actions[:, 1])[:, None]
+    mu_next = np.where(separating, np.array([0.0, 1.0]), mu_hi[:, None])
+    i_mu = _project(grid.mu_axis, mu_next)[:, None, :, None]           # (N, 1, B, 1)
 
+    stock = (inv[:, None] + quants[None, :])[:, :, None, None]         # (N, Q, 1, 1)
+    cost = (firm_type.c * quants)[None, :, None, None]
     net_hold = firm_type.h - (firm_type.s if model.salvage_on else 0.0)
 
-    for ia in range(n_act):
-        p = prices[ia // n_q]
-        q = quants[ia % n_q]
-        stock = inv + q
-        # branch over rival type: rival price differs, so demand mean differs
-        prof_branches = np.empty((n_nodes, n_types, k_q))
-        for b in range(n_types):
-            rp = rp_all[:, b]
-            x_mean = m0 + coef[1] * p + coef[2] * rp  # lagged rival stockout frozen at 0
-            # predictive sd includes frozen coefficient uncertainty
-            x_cov = np.stack([np.ones(n_nodes), np.full(n_nodes, p), rp,
-                              np.zeros(n_nodes)], axis=1)
-            quad_form = np.einsum("ni,ij,nj->n", x_cov, model.hyper.S, x_cov)
-            sd_pred = sigma * np.sqrt(1.0 + quad_form)
-            demand = x_mean[:, None] + sd_pred[:, None] * zq[None, :]  # (N, K)
-            sales = np.clip(demand, 0.0, stock[:, None])
-            left = stock[:, None] - sales
-            prof_branches[:, b, :] = p * sales - firm_type.c * q - net_hold * left
+    reward = np.empty((n_nodes, prices.size, n_q))
+    next_idx = np.empty((n_nodes, prices.size, n_q, 2, zq.size), dtype=np.int64)
+    for ip, p in enumerate(prices):
+        # predictive demand; the lagged rival stockout is frozen at 0, and
+        # the sd includes the frozen coefficient uncertainty
+        x_mean = m0[:, None] + coef[1] * p + coef[2] * rp             # (N, B)
+        x_cov = np.stack([np.ones_like(rp), np.full_like(rp, p), rp,
+                          np.zeros_like(rp)], axis=2)                  # (N, B, 4)
+        quad_form = np.einsum("nbi,ij,nbj->nb", x_cov, S, x_cov)
+        sd_pred = sigma * np.sqrt(1.0 + quad_form)
+        demand = x_mean[:, :, None] + sd_pred[:, :, None] * zq         # (N, B, K)
+        gains = (x_cov @ S)[:, :, 0] / (1.0 + quad_form)
+        m0_next = m0[:, None, None] + gains[:, :, None] * (demand - x_mean[:, :, None])
+        i_m0 = _project(grid.m0_axis, m0_next)[:, None]                # (N, 1, B, K)
 
-            # transitions: inventory, intercept-mean update, belief update
-            resid = demand - x_mean[:, None]
-            Sx = x_cov @ model.hyper.S
-            gains = Sx[:, 0] / (1.0 + quad_form)
-            m0_next = m0[:, None] + gains[:, None] * resid
-            i_inv = _project(grid.inv_axis, left)
-            i_m0 = _project(grid.m0_axis, m0_next)
-            # belief after observing the rival action of type b
-            if n_types == 2:
-                a_low = rival_actions[:, 0]
-                a_high = rival_actions[:, 1]
-                separating = a_low != a_high
-                mu_next = np.where(separating, 1.0 if b == 1 else 0.0, mu_hi)
-            else:
-                mu_next = mu_hi
-            i_mu = _project(grid.mu_axis, mu_next)
-            next_idx[:, ia, b, :] = (
-                (i_inv * grid.m0_axis.size + i_m0) * grid.mu_axis.size
-                + i_mu[:, None])
+        sales = np.clip(demand[:, None], 0.0, stock)                   # (N, Q, B, K)
+        left = stock - sales
+        prof = p * sales - cost - net_hold * left
+        mean = (w_joint * prof).sum(axis=(2, 3))
+        var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
+        reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
+        next_idx[:, ip] = ((_project(grid.inv_axis, left) * grid.m0_axis.size
+                            + i_m0) * grid.mu_axis.size + i_mu)
 
-        w_joint = type_probs[:, :, None] * wq[None, None, :]  # (N, B, K)
-        mean = (w_joint * prof_branches).sum(axis=(1, 2))
-        var = (w_joint * (prof_branches - mean[:, None, None]) ** 2).sum(axis=(1, 2))
-        reward[:, ia] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
-
-    return DiscretizedDynamics(reward, next_idx, type_probs, wq)
+    return DiscretizedDynamics(reward.reshape(n_nodes, -1),
+                               next_idx.reshape(n_nodes, -1, 2, zq.size),
+                               type_probs, wq)
 
 
 def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
@@ -273,27 +245,11 @@ def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
     return q_vals.max(axis=1), greedy
 
 
-def bellman_apply(value: ValueFunction, rival_policy, grid: BeliefGrid,
+def value_iterate(grid: BeliefGrid, rival_policies: tuple,
                   config: EquilibriumConfig, model: EquilibriumModel,
-                  firm_type: FirmType | None = None) -> tuple[ValueFunction, GridPolicy]:
-    """One application of the credible-risk Bellman operator."""
-    firm_type = firm_type or model.firm_types[0]
-    dyn = build_dynamics(grid, config, model, firm_type, _as_policy_pair(rival_policy))
-    new_vals, greedy = bellman_core(value.values, dyn, config.delta)
-    return ValueFunction(new_vals), GridPolicy(greedy)
-
-
-def _as_policy_pair(rival_policy):
-    if isinstance(rival_policy, GridPolicy):
-        return (rival_policy, rival_policy)
-    return tuple(rival_policy)
-
-
-def value_iterate(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
-                  model: EquilibriumModel, firm_type: FirmType | None = None,
-                  initial: np.ndarray | None = None,
+                  firm_type: FirmType, initial: np.ndarray | None = None,
                   dyn: DiscretizedDynamics | None = None
-                  ) -> tuple[ValueFunction, GridPolicy, IterationDiagnostics]:
+                  ) -> tuple[np.ndarray, GridPolicy, IterationDiagnostics]:
     """Solve one firm's best response by modified policy iteration.
 
     Starting from the greedy policy of ``initial`` (zeros by default), each
@@ -309,10 +265,8 @@ def value_iterate(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
     sweeps of each policy evaluation; reaching either bound raises
     ``NonConvergenceError``.
     """
-    firm_type = firm_type or model.firm_types[0]
     if dyn is None:
-        dyn = build_dynamics(grid, config, model, firm_type,
-                             _as_policy_pair(rival_policy))
+        dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
     n_nodes = dyn.reward.shape[0]
     values = np.zeros(n_nodes) if initial is None else np.asarray(initial, float)
     values, policy = bellman_core(values, dyn, config.delta)
@@ -329,7 +283,7 @@ def value_iterate(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
         values, policy = new_vals, new_policy
         if delta_sup < config.tol:
             diag.converged = True
-            return ValueFunction(values), GridPolicy(policy), diag
+            return values, GridPolicy(policy), diag
     raise NonConvergenceError(
         f"policy iteration did not reach tol={config.tol} in {config.max_iter} "
         "iterations", diag)
@@ -354,40 +308,41 @@ def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarra
         "sweeps", diag)
 
 
-def myopic_policy(grid: BeliefGrid, rival_policy, config: EquilibriumConfig,
-                  model: EquilibriumModel,
-                  firm_type: FirmType | None = None) -> GridPolicy:
+def myopic_policy(grid: BeliefGrid, rival_policies: tuple,
+                  config: EquilibriumConfig, model: EquilibriumModel,
+                  firm_type: FirmType) -> GridPolicy:
     """Greedy one-step credible-risk policy (no continuation term)."""
-    firm_type = firm_type or model.firm_types[0]
-    dyn = build_dynamics(grid, config, model, firm_type, _as_policy_pair(rival_policy))
+    dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
     return GridPolicy(dyn.reward.argmax(axis=1))
 
 
 def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
-                          rng: np.random.Generator | None = None
-                          ) -> tuple[tuple, IterationDiagnostics]:
+                          rng: np.random.Generator | None = None):
     """Alternating best responses over per-(firm, type) grid policies.
 
-    Returns ((firm1 policies per type, firm2 policies per type), diagnostics).
-    Policy cycling beyond the sweep cap returns the best-so-far pair with
-    ``converged=False`` instead of raising.
+    Returns the last round's ``(policies, values, model, diagnostics)``:
+    ``policies[f][k]`` and ``values[f][k]`` are firm ``f``'s as own type
+    ``model.rival_types[k]``, solved under ``model`` (refrozen at the start
+    of each round after the first when ``refresh_trajectories`` is set).
+    Policy cycling beyond the sweep cap returns ``converged=False``.
     """
     grid = build_belief_grid(config)
-    n_types = len(model.rival_types)
     mid = (len(config.price_grid) - 1) // 2 * len(config.quantity_grid) \
         + (len(config.quantity_grid) - 1) // 2
-    policies = [[GridPolicy(np.full(grid.n_nodes, mid, dtype=np.int64))
-                 for _ in range(n_types)] for _ in (0, 1)]
+    policies = [[GridPolicy(np.full(grid.n_nodes, mid, dtype=np.int64))] * 2
+                for _ in (0, 1)]
+    values = [[None, None], [None, None]]
     diag = IterationDiagnostics()
 
     for sweep in range(config.sweep_cap):
+        if sweep > 0 and config.refresh_trajectories > 0 and rng is not None:
+            model = _refresh_hyper(grid, config, model, policies, rng)
         changes = 0
         sup_delta = 0.0
         for firm in (0, 1):
-            rival = 1 - firm
             for k, own_type in enumerate(model.rival_types):
-                _, new_pol, vi_diag = value_iterate(
-                    grid, tuple(policies[rival]), config, model, firm_type=own_type)
+                values[firm][k], new_pol, vi_diag = value_iterate(
+                    grid, tuple(policies[1 - firm]), config, model, own_type)
                 changes += int(np.count_nonzero(
                     new_pol.actions != policies[firm][k].actions))
                 sup_delta = max(sup_delta, vi_diag.sup_norm_deltas[-1])
@@ -397,9 +352,8 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
         if changes == 0:
             diag.converged = True
             break
-        if config.refresh_trajectories > 0 and rng is not None:
-            model = _refresh_hyper(grid, config, model, policies, rng)
-    return (tuple(policies[0]), tuple(policies[1])), diag
+    return (tuple(map(tuple, policies)), tuple(map(tuple, values)), model,
+            diag)
 
 
 def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
@@ -445,14 +399,12 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
                             model.salvage_on)
 
 
-def contraction_check(grid: BeliefGrid, model: EquilibriumModel, rival_policy,
-                      trials: int, rng: np.random.Generator,
-                      config: EquilibriumConfig,
-                      firm_type: FirmType | None = None) -> dict:
+def contraction_check(grid: BeliefGrid, model: EquilibriumModel,
+                      rival_policies: tuple, trials: int,
+                      rng: np.random.Generator, config: EquilibriumConfig,
+                      firm_type: FirmType) -> dict:
     """Verify sup-norm contraction with modulus delta on random value pairs."""
-    firm_type = firm_type or model.firm_types[0]
-    dyn = build_dynamics(grid, config, model, firm_type,
-                         _as_policy_pair(rival_policy))
+    dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
     r_max = float(np.max(np.abs(dyn.reward)))
     bound = r_max / (1.0 - config.delta) if config.delta < 1 else r_max
     max_ratio = 0.0

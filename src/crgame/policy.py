@@ -57,15 +57,17 @@ class BeliefState:
 
 @dataclass
 class PolicyConfig:
+    """Per-decision settings; ``SimConfig.policy_config`` builds the study's."""
+
     price_grid: tuple
     quantity_grid: tuple
-    kappa: float = 0.6
-    predictive_samples: int = 500
-    salvage_mode: str = "per-period"
-    sigma_mode: str = "learn"          # "learn" draws sigma^2 ~ IG(a, b); "fixed" pins it
-    fixed_sigma: float = 4.5
-    rival_forecast: str = "last-action"
-    rival_types: tuple = ()            # FirmType per hypothesized rival type (type-weighted rule)
+    kappa: float
+    predictive_samples: int
+    salvage_mode: str
+    sigma_mode: str                    # "learn" draws sigma^2 ~ IG(a, b); "fixed" pins it
+    fixed_sigma: float
+    rival_forecast: str
+    rival_types: tuple = ()            # (low, high) FirmType, read by the type-weighted rule
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -81,6 +83,9 @@ class PolicyConfig:
             raise ValueError(f"unknown salvage mode {self.salvage_mode!r}")
         if self.rival_forecast not in RIVAL_FORECAST_RULES:
             raise ValueError(f"unknown rival forecast rule {self.rival_forecast!r}")
+        if self.rival_forecast == "type-weighted" and len(self.rival_types) != 2:
+            raise ValueError("the type-weighted rival forecast needs the two "
+                             "rival types")
 
 
 def credible_risk_score(mean: float, sd: float, kappa: float) -> float:
@@ -139,7 +144,7 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
     the highest belief-weighted closed-form expected profit across the
     hypothesized rival types.
     """
-    if config.rival_forecast == "type-weighted" and config.rival_types:
+    if config.rival_forecast == "type-weighted":
         sigma = _point_sigma(state.demand_posterior, config)
         m = state.demand_posterior.m
         own_last = _midpoint_action(config)  # the rival's view of us, absent history

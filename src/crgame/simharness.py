@@ -110,7 +110,9 @@ class SimConfig:
             predictive_samples=self.predictive_samples,
             salvage_mode=self.salvage_mode, sigma_mode=self.sigma_mode,
             fixed_sigma=float(np.sqrt(self.prior_b / (self.prior_a - 1.0))),
-            rival_forecast=self.rival_forecast)
+            rival_forecast=self.rival_forecast,
+            rival_types=(self.firm_type(self.cost_low),
+                         self.firm_type(self.cost_high)))
 
 
 @dataclass

@@ -282,12 +282,12 @@ def test_criterion_8_fixed_point_uniqueness():
     grid = build_belief_grid(config)
     rival = fixed_rival(grid)
     rng = rngmod.stream(808, "inits")
-    v1, _, _ = value_iterate(grid, rival, config, model, firm_type=LOW,
+    v1, _, _ = value_iterate(grid, rival, config, model, LOW,
                              initial=rng.uniform(-1000, 1000, grid.n_nodes))
-    v2, _, _ = value_iterate(grid, rival, config, model, firm_type=LOW,
+    v2, _, _ = value_iterate(grid, rival, config, model, LOW,
                              initial=rng.uniform(-1000, 1000, grid.n_nodes))
     bound = 2.0 * config.tol / (1.0 - config.delta)
-    assert np.max(np.abs(v1.values - v2.values)) < bound
+    assert np.max(np.abs(v1 - v2)) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +296,14 @@ def test_criterion_8_fixed_point_uniqueness():
 
 def test_criterion_9a_zero_discount_equilibrium_is_myopic():
     config, model = eq_config(delta=0.0, max_iter=50), eq_model()
-    policies, diag = equilibrium_iteration(config, model,
-                                           rng=rngmod.stream(909, "eq"))
+    policies, _, _, diag = equilibrium_iteration(config, model,
+                                                 rng=rngmod.stream(909, "eq"))
     assert diag.converged
     grid = build_belief_grid(config)
     pol1, pol2 = policies
     for own_pols, rival_pols in ((pol1, pol2), (pol2, pol1)):
         for k, firm_type in enumerate(model.rival_types):
-            myo = myopic_policy(grid, rival_pols, config, model,
-                                firm_type=firm_type)
+            myo = myopic_policy(grid, rival_pols, config, model, firm_type)
             np.testing.assert_array_equal(own_pols[k].actions, myo.actions)
 
 
@@ -317,7 +316,8 @@ def test_criterion_9b_zero_kappa_equals_risk_neutral():
                           quantity_grid=tuple(float(q)
                                               for q in range(20, 70, 5)),
                           kappa=0.0, predictive_samples=200,
-                          sigma_mode="fixed", fixed_sigma=4.5)
+                          salvage_mode="per-period", sigma_mode="fixed",
+                          fixed_sigma=4.5, rival_forecast="last-action")
     state_rng = rngmod.stream(909, "states")
     for k in range(1000):
         m = PRIOR_MEAN + state_rng.normal(0.0, [5.0, 1.0, 1.0, 2.0])

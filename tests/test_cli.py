@@ -123,10 +123,10 @@ def test_config_error_missing_file(outdir):
                     "--out", outdir]) == 2
 
 
-def _bad(command, config, field, flags=()):
+def _bad(command, config, field, flags=(), suffix=""):
     keys = [key for section in config.values() for key in section]
     return pytest.param(command, config, list(flags), field,
-                        id="-".join([command, *keys]) + "".join(flags))
+                        id="-".join([command, *keys]) + "".join(flags) + suffix)
 
 
 TRUE_PARAMS = {"beta0": 45.0, "beta1": -3.6, "beta2": 1.2, "beta3": 7.5,
@@ -160,6 +160,10 @@ BAD_VALUES = [
     _bad("simulate", {"simulation": {"policies": []}}, "simulation.policies"),
     _bad("equilibrium", {"equilibrium": {"contraction_trials": "many"}},
          "equilibrium.contraction_trials"),
+    _bad("equilibrium", {"equilibrium": {"contraction_trials": 0}},
+         "equilibrium.contraction_trials", suffix="=0"),
+    _bad("equilibrium", {"equilibrium": {"contraction_trials": -1}},
+         "equilibrium.contraction_trials", suffix="=-1"),
     _bad("equilibrium", {"equilibrium": {"contraction_seed": 7}},
          "equilibrium.contraction_seed"),
 ]
@@ -275,33 +279,106 @@ def test_default_config_builds_the_dataclass_defaults():
                                           quantity_grid=sim.quantity_grid)
 
 
-def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
-                                                                monkeypatch):
-    solved = {}
-    rivals = []
+def _traced_equilibrium(tmp_path, monkeypatch, config=None):
+    """Run ``crgame equilibrium --seed 3``; return the iteration's arguments
+    and result, the contraction check's arguments, and the output dir."""
+    seen = {}
 
     def iteration(*args, **kwargs):
-        solved["pols"], diag = equilibrium.equilibrium_iteration(*args, **kwargs)
-        return solved["pols"], diag
+        seen["args"] = args
+        seen["result"] = equilibrium.equilibrium_iteration(*args, **kwargs)
+        return seen["result"]
 
-    def value_iterate(grid, rival_policy, *args, **kwargs):
-        rivals.append(("values", rival_policy))
-        return equilibrium.value_iterate(grid, rival_policy, *args, **kwargs)
-
-    def contraction_check(grid, model, rival_policy, *args, **kwargs):
-        rivals.append(("contraction", rival_policy))
-        return equilibrium.contraction_check(grid, model, rival_policy,
-                                                 *args, **kwargs)
+    def contraction_check(*args):
+        seen["check"] = args
+        return equilibrium.contraction_check(*args)
 
     monkeypatch.setattr(cli, "equilibrium_iteration", iteration)
-    monkeypatch.setattr(cli, "value_iterate", value_iterate)
     monkeypatch.setattr(cli, "contraction_check", contraction_check)
-    assert run_cli(["equilibrium", "--out", str(tmp_path / "eq")]) == 0
-    pol1, pol2 = solved["pols"]
-    # firm 1's values and contraction check face firm 2's policies, and
-    # firm 2's values face firm 1's
-    assert [(kind, id(p)) for kind, p in rivals] == [
-        ("values", id(pol2)), ("values", id(pol1)), ("contraction", id(pol2))]
+    out = tmp_path / "eq"
+    argv = ["equilibrium", "--out", str(out), "--seed", "3"]
+    if config is not None:
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run_cli(argv) == 0
+    return seen, out
+
+
+def _read_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n").split(",") for line in fh][1:]
+
+
+def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
+                                                                monkeypatch):
+    seen, out = _traced_equilibrium(tmp_path, monkeypatch)
+    config = seen["args"][0]
+    (pol1, pol2), _, model, _ = seen["result"]
+    grid = equilibrium.build_belief_grid(config)
+    low, high = model.firm_types
+    # firm 1's values are its best response to firm 2's policy pair and
+    # firm 2's to firm 1's, bit for bit
+    want1, _, _ = equilibrium.value_iterate(grid, pol2, config, model, low)
+    want2, _, _ = equilibrium.value_iterate(grid, pol1, config, model, high)
+    rows = _read_rows(out / "values.csv")
+    assert [float(r[3]) for r in rows] == want1.tolist()
+    assert [float(r[4]) for r in rows] == want2.tolist()
+    # the contraction check faces firm 2's policies, under the solved model
+    _, check_model, check_rival, *_, check_type = seen["check"]
+    assert check_model is model and check_rival is pol2 and check_type == low
+
+
+def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
+        tmp_path, monkeypatch):
+    seen, out = _traced_equilibrium(
+        tmp_path, monkeypatch, {"equilibrium": {"refresh_trajectories": 5}})
+    config, prior = seen["args"]
+    policies, _, model, diag = seen["result"]
+    assert diag.converged and len(diag.policy_change_counts) > 2
+    assert not np.array_equal(model.hyper.m, prior.hyper.m)
+    grid = equilibrium.build_belief_grid(config)
+    values = np.array([[float(v) for v in row[3:]]
+                       for row in _read_rows(out / "values.csv")])
+    for f, name in enumerate(("firm1", "firm2")):
+        written = [(float(r[4]), float(r[5]))
+                   for r in _read_rows(out / f"policy_{name}.csv")]
+        for k, own_type in enumerate(model.rival_types):
+            want, greedy, _ = equilibrium.value_iterate(
+                grid, policies[1 - f], config, model, own_type)
+            assert written[k * grid.n_nodes:(k + 1) * grid.n_nodes] == \
+                greedy.as_tuples(config)
+            if own_type == model.firm_types[f]:
+                assert values[:, f].tolist() == want.tolist()
+    assert seen["check"][1] is model
+
+
+def test_converged_solve_runs_four_best_responses_a_round(tmp_path,
+                                                          monkeypatch):
+    counts = {"value_iterate": 0, "build_dynamics": 0}
+
+    def counted(name):
+        fn = getattr(equilibrium, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CLI solves no best response of its own")
+
+    for name in counts:
+        monkeypatch.setattr(equilibrium, name, counted(name))
+    monkeypatch.setattr(cli, "value_iterate", forbidden)
+    out = tmp_path / "eq"
+    assert run_cli(["equilibrium", "--out", str(out)]) == 0
+    with open(out / "diagnostics.json") as fh:
+        rounds = len(json.load(fh)["policy_change_counts"])
+    # one best response per (firm, own type) a round; one more
+    # build_dynamics for the contraction check
+    assert counts == {"value_iterate": 4 * rounds,
+                      "build_dynamics": 4 * rounds + 1}
 
 
 def test_python_m_crgame_help():

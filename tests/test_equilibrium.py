@@ -8,11 +8,10 @@ from crgame.learning import PosteriorHyper
 from crgame.market import FirmType
 from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 EquilibriumConfig, EquilibriumModel,
-                                GridPolicy, NonConvergenceError, ValueFunction,
-                                bellman_apply, bellman_core, build_belief_grid,
-                                build_dynamics, contraction_check,
-                                equilibrium_iteration, myopic_policy,
-                                value_iterate)
+                                GridPolicy, NonConvergenceError, bellman_core,
+                                build_belief_grid, build_dynamics,
+                                contraction_check, equilibrium_iteration,
+                                myopic_policy, value_iterate)
 
 LOW = FirmType(6.0, 0.8, 1.5)
 HIGH = FirmType(10.0, 0.8, 1.5)
@@ -105,8 +104,8 @@ def test_contraction_check_on_model_dynamics():
     mid = GridPolicy(np.full(grid.n_nodes,
                              (len(config.price_grid) *
                               len(config.quantity_grid)) // 2))
-    report = contraction_check(grid, model, mid, 50,
-                               rngmod.stream(87, "cc"), config)
+    report = contraction_check(grid, model, (mid, mid), 50,
+                               rngmod.stream(87, "cc"), config, LOW)
     assert report["passed"]
     assert report["max_ratio"] <= config.delta + 1e-9
     assert report["violations"] == []
@@ -120,14 +119,14 @@ def test_value_iteration_unique_fixed_point():
     grid = build_belief_grid(config)
     mid = GridPolicy(np.full(grid.n_nodes, 7))
     rng = rngmod.stream(91, "init")
-    v_a, pol_a, diag_a = value_iterate(grid, mid, config, model,
+    v_a, pol_a, diag_a = value_iterate(grid, (mid, mid), config, model, LOW,
                                        initial=rng.uniform(-500, 500,
                                                            grid.n_nodes))
-    v_b, pol_b, diag_b = value_iterate(grid, mid, config, model,
+    v_b, pol_b, diag_b = value_iterate(grid, (mid, mid), config, model, LOW,
                                        initial=rng.uniform(-500, 500,
                                                            grid.n_nodes))
     tol_bound = 2 * config.tol / (1.0 - config.delta)
-    assert np.max(np.abs(v_a.values - v_b.values)) < tol_bound
+    assert np.max(np.abs(v_a - v_b)) < tol_bound
     assert diag_a.converged and diag_b.converged
 
 
@@ -138,7 +137,8 @@ def test_value_iteration_nonconvergence_raises():
     grid = build_belief_grid(config)
     mid = GridPolicy(np.full(grid.n_nodes, 7))
     with pytest.raises(NonConvergenceError) as err:
-        value_iterate(grid, mid, config, model, dyn=toy_dynamics(seed=1))
+        value_iterate(grid, (mid, mid), config, model, LOW,
+                      dyn=toy_dynamics(seed=1))
     assert err.value.diagnostics is not None
 
 
@@ -164,12 +164,13 @@ def test_policy_iteration_matches_value_iteration(toy_seed):
         dyn = build_dynamics(grid, config, model, model.firm_types[0], (mid, mid))
     else:
         dyn = toy_dynamics(seed=toy_seed)
-    vf, pol, diag = value_iterate(grid, mid, config, model, dyn=dyn)
+    values, pol, diag = value_iterate(grid, (mid, mid), config, model, LOW,
+                                      dyn=dyn)
     want_v, want_pol = reference_value_iteration(dyn, config.delta, config.tol)
     assert diag.converged
     np.testing.assert_array_equal(pol.actions, want_pol)
     bound = config.tol * config.delta / (1.0 - config.delta)
-    assert np.max(np.abs(vf.values - want_v)) < bound
+    assert np.max(np.abs(values - want_v)) < bound
 
 
 def test_delta_zero_value_iteration_is_myopic():
@@ -177,21 +178,9 @@ def test_delta_zero_value_iteration_is_myopic():
     model = make_model()
     grid = build_belief_grid(config)
     mid = GridPolicy(np.full(grid.n_nodes, 7))
-    _, greedy, _ = value_iterate(grid, mid, config, model)
-    myopic = myopic_policy(grid, mid, config, model)
+    _, greedy, _ = value_iterate(grid, (mid, mid), config, model, LOW)
+    myopic = myopic_policy(grid, (mid, mid), config, model, LOW)
     np.testing.assert_array_equal(greedy.actions, myopic.actions)
-
-
-def test_bellman_apply_matches_value_iterate_step():
-    config = make_config()
-    model = make_model()
-    grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
-    v0 = ValueFunction(np.zeros(grid.n_nodes))
-    v1, _ = bellman_apply(v0, mid, grid, config, model)
-    dyn = build_dynamics(grid, config, model, model.firm_types[0], (mid, mid))
-    want, _ = bellman_core(v0.values, dyn, config.delta)
-    np.testing.assert_allclose(v1.values, want)
 
 
 # ------------------------------------------------------- equilibrium search
@@ -199,29 +188,31 @@ def test_bellman_apply_matches_value_iterate_step():
 def test_equilibrium_iteration_converges_and_is_mutual_best_response():
     config = make_config(sweep_cap=30)
     model = make_model()
-    (pol1, pol2), diag = equilibrium_iteration(config, model,
-                                               rng=rngmod.stream(93, "eq"))
+    (pol1, pol2), values, solved, diag = equilibrium_iteration(
+        config, model, rng=rngmod.stream(93, "eq"))
     assert diag.converged
     assert diag.policy_change_counts[-1] == 0
+    assert solved is model  # no refresh: the model is returned as given
     grid = build_belief_grid(config)
-    # at convergence each per-type policy is greedy against the rival's pair
+    # at convergence each per-type policy is greedy against the rival's pair,
+    # and the returned values are that best response's
     for firm, own_pols, rival_pols in ((0, pol1, pol2), (1, pol2, pol1)):
         for k, ft in enumerate(model.rival_types):
-            vf, greedy, _ = value_iterate(grid, rival_pols, config, model,
-                                          firm_type=ft)
+            want, greedy, _ = value_iterate(grid, rival_pols, config, model, ft)
             np.testing.assert_array_equal(own_pols[k].actions, greedy.actions)
+            np.testing.assert_array_equal(values[firm][k], want)
 
 
 def test_equilibrium_delta_zero_matches_myopic_tables():
     config = make_config(delta=0.0, sweep_cap=30)
     model = make_model()
-    (pol1, pol2), diag = equilibrium_iteration(config, model,
-                                               rng=rngmod.stream(95, "eq0"))
+    (pol1, pol2), _, _, diag = equilibrium_iteration(
+        config, model, rng=rngmod.stream(95, "eq0"))
     assert diag.converged
     grid = build_belief_grid(config)
     for own_pols, rival_pols in ((pol1, pol2), (pol2, pol1)):
         for k, ft in enumerate(model.rival_types):
-            want = myopic_policy(grid, rival_pols, config, model, firm_type=ft)
+            want = myopic_policy(grid, rival_pols, config, model, ft)
             np.testing.assert_array_equal(own_pols[k].actions, want.actions)
 
 

@@ -13,6 +13,7 @@ from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
                            forecast_rival_action, predictive_draws,
                            predictive_profit_moments, score_action_grid,
                            select_action, static_prior_scores)
+from crgame.simharness import SimConfig
 
 LOW = FirmType(c=6.0, h=0.8, s=1.5)
 PRICE_GRID = tuple(float(p) for p in range(8, 17))
@@ -21,7 +22,9 @@ QTY_GRID = tuple(float(q) for q in range(20, 70, 5))
 
 def make_config(**kw):
     base = dict(price_grid=PRICE_GRID, quantity_grid=QTY_GRID, kappa=0.6,
-                predictive_samples=400, sigma_mode="fixed", fixed_sigma=4.5)
+                predictive_samples=400, salvage_mode="per-period",
+                sigma_mode="fixed", fixed_sigma=4.5,
+                rival_forecast="last-action")
     base.update(kw)
     return PolicyConfig(**base)
 
@@ -171,6 +174,21 @@ def test_type_weighted_forecast_is_argmax_of_weighted_scores():
         assert forecast_rival_action(state, config) == want
 
 
+def test_study_config_hands_the_type_weighted_rule_both_types():
+    sim = SimConfig(rival_forecast="type-weighted")
+    config = sim.policy_config()
+    assert config.rival_types == (sim.firm_type(sim.cost_low),
+                                  sim.firm_type(sim.cost_high))
+    # at the prior state the rule picks a different action than the
+    # grid midpoint (q 40, p 12) it used to fall back to
+    assert forecast_rival_action(make_state(), config) == Action(20.0, 12.0)
+
+
+def test_type_weighted_rule_without_types_rejected():
+    with pytest.raises(ValueError, match="rival types"):
+        make_config(rival_forecast="type-weighted")
+
+
 # ------------------------------------------------------------- select_action
 
 def test_kappa_zero_equals_risk_neutral():
@@ -266,4 +284,7 @@ def test_unknown_policy_rejected():
 
 def test_invalid_grid_rejected():
     with pytest.raises(ValueError):
-        PolicyConfig(price_grid=(12.0, 8.0), quantity_grid=QTY_GRID)
+        PolicyConfig(price_grid=(12.0, 8.0), quantity_grid=QTY_GRID, kappa=0.6,
+                     predictive_samples=500, salvage_mode="per-period",
+                     sigma_mode="learn", fixed_sigma=4.5,
+                     rival_forecast="last-action")
