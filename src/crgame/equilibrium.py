@@ -131,13 +131,13 @@ class DiscretizedDynamics:
     """Deterministic finite game seen by one firm given the rival's policy.
 
     reward: (N, A); next_idx: (N, A, B, K) node indices over rival-type
-    branches B and quadrature nodes K; type_probs: (N, B); quad_weights: (K,).
+    branches B and quadrature nodes K; weights: (N, B, K) joint probability
+    of each branch, the rival-type belief times the quadrature weight.
     """
 
     reward: np.ndarray
     next_idx: np.ndarray
-    type_probs: np.ndarray
-    quad_weights: np.ndarray
+    weights: np.ndarray
 
 
 def build_belief_grid(config: EquilibriumConfig) -> BeliefGrid:
@@ -193,7 +193,8 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
 
     inv, m0, mu_hi = grid.nodes.T
     type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)                 # (N, B)
-    w_joint = (type_probs[:, :, None] * wq[None, None, :])[:, None]    # (N, 1, B, K)
+    weights = type_probs[:, :, None] * wq[None, None, :]               # (N, B, K)
+    w_joint = weights[:, None]                                         # (N, 1, B, K)
 
     rival_actions = np.stack([pol.actions for pol in rival_policies], axis=1)  # (N, B)
     rp = prices[rival_actions // n_q]  # (N, B) rival price per node/type
@@ -232,15 +233,20 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
 
     return DiscretizedDynamics(reward.reshape(n_nodes, -1),
                                next_idx.reshape(n_nodes, -1, 2, zq.size),
-                               type_probs, wq)
+                               weights)
 
 
 def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
                  delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One deterministic Bellman sweep; returns (new values, greedy policy)."""
-    cont = values[dyn.next_idx] @ dyn.quad_weights          # (N, A, B)
-    cont = np.einsum("nab,nb->na", cont, dyn.type_probs)    # (N, A)
-    q_vals = dyn.reward + delta * cont
+    """One deterministic Bellman sweep; returns (new values, greedy policy).
+
+    The continuation of every (node, action) is one batched contraction of
+    the gathered successor values over the node's B*K branches.
+    """
+    n_nodes, n_actions = dyn.reward.shape
+    cont = (values[dyn.next_idx].reshape(n_nodes, n_actions, -1)
+            @ dyn.weights.reshape(n_nodes, -1, 1))           # (N, A, 1)
+    q_vals = dyn.reward + delta * cont[:, :, 0]
     greedy = q_vals.argmax(axis=1)
     return q_vals.max(axis=1), greedy
 
@@ -270,12 +276,12 @@ def value_iterate(grid: BeliefGrid, rival_policies: tuple,
     n_nodes = dyn.reward.shape[0]
     values = np.zeros(n_nodes) if initial is None else np.asarray(initial, float)
     values, policy = bellman_core(values, dyn, config.delta)
-    weights = dyn.type_probs[:, :, None] * dyn.quad_weights[None, None, :]  # (N, B, K)
     rows = np.arange(n_nodes)
     diag = IterationDiagnostics()
     for _ in range(config.max_iter):
         values = _evaluate_policy(values, dyn.reward[rows, policy],
-                                  dyn.next_idx[rows, policy], weights, config, diag)
+                                  dyn.next_idx[rows, policy], dyn.weights, config,
+                                  diag)
         new_vals, new_policy = bellman_core(values, dyn, config.delta)
         delta_sup = float(np.max(np.abs(new_vals - values)))
         diag.sup_norm_deltas.append(delta_sup)
@@ -325,7 +331,12 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     ``model.rival_types[k]``, solved under ``model`` (refrozen at the start
     of each round after the first when ``refresh_trajectories`` is set).
     Policy cycling beyond the sweep cap returns ``converged=False``.
+    The refresh draws its trajectories from ``rng``, so ``refresh_trajectories
+    > 0`` without one raises ``ValueError``.
     """
+    if config.refresh_trajectories > 0 and rng is None:
+        raise ValueError("refresh_trajectories > 0 needs an rng to draw "
+                         "trajectories from")
     grid = build_belief_grid(config)
     mid = (len(config.price_grid) - 1) // 2 * len(config.quantity_grid) \
         + (len(config.quantity_grid) - 1) // 2
@@ -335,7 +346,7 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     diag = IterationDiagnostics()
 
     for sweep in range(config.sweep_cap):
-        if sweep > 0 and config.refresh_trajectories > 0 and rng is not None:
+        if sweep > 0 and config.refresh_trajectories > 0:
             model = _refresh_hyper(grid, config, model, policies, rng)
         changes = 0
         sup_delta = 0.0
@@ -406,7 +417,7 @@ def contraction_check(grid: BeliefGrid, model: EquilibriumModel,
     """Verify sup-norm contraction with modulus delta on random value pairs."""
     dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
     r_max = float(np.max(np.abs(dyn.reward)))
-    bound = r_max / (1.0 - config.delta) if config.delta < 1 else r_max
+    bound = r_max / (1.0 - config.delta)
     max_ratio = 0.0
     violations = []
     for t in range(trials):

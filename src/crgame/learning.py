@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .market import DemandParams
 
@@ -190,6 +189,10 @@ def truncated_normal_lower(mean, sd, lower, rng: np.random.Generator):
     beyond 8 fall back to a translated-exponential rejection sampler whose
     acceptance rate tends to one in the far tail. Scalars in, scalar out.
     """
+    # scipy.special is imported on first use: importing it takes ~0.3 s and
+    # slows interpreter shutdown, and ``crgame equilibrium`` never needs it
+    from scipy.special import ndtr, ndtri
+
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -399,6 +402,7 @@ class _CensoredRows:
                 truncated_normal_lower(mean[..., k:], sd, lower[k:], rng)),
                 axis=-1)
             return (out - lower) / sd
+        from scipy.special import ndtr, ndtri
         return np.maximum(neg_alpha - ndtri(u * ndtr(neg_alpha)), 0.0)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import kernels
 from .learning import PosteriorHyper, TypeBelief
@@ -106,6 +105,9 @@ def expected_sales_closed_form(mu, sd, stock):
         raise ValueError("sd must be positive")
     if np.all(np.isposinf(stock)):
         return mu if mu.ndim else float(mu)
+    # imported on first use, as in ``learning``: the solver never needs scipy
+    from scipy.special import ndtr
+
     alpha = (stock - mu) / sd
     out = stock - ((stock - mu) * ndtr(alpha) + sd * _norm_pdf(alpha))
     return float(out) if np.ndim(out) == 0 else out

@@ -106,8 +106,10 @@ def test_criterion_3_full_study_orderings(full_study):
     stat = profits["classical-static-prior"]
 
     rng = rngmod.stream(SimConfig().master_seed, "acceptance-bootstrap")
-    vs_static = bootstrap_diff(prop, stat, resamples=10_000, rng=rng)
-    vs_neutral = bootstrap_diff(prop, neut, resamples=10_000, rng=rng)
+    vs_static = bootstrap_diff(prop, stat, resamples=10_000, level=0.95,
+                               rng=rng)
+    vs_neutral = bootstrap_diff(prop, neut, resamples=10_000, level=0.95,
+                                rng=rng)
 
     mean_prop, mean_stat = prop.mean(), stat.mean()
     mse_prop = mses["proposed-credible-risk"].mean()

@@ -390,3 +390,17 @@ def test_python_m_crgame_help():
     assert proc.stdout.startswith("usage: crgame")
     for command in ("simulate", "equilibrium", "report"):
         assert command in proc.stdout
+
+
+def test_equilibrium_never_imports_scipy_special(tmp_path):
+    # importing scipy.special takes ~0.3 s and slows interpreter shutdown;
+    # only the simulation's samplers need it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from crgame import cli\n"
+            f"assert cli.main(['equilibrium', '--out', {str(tmp_path / 'eq')!r}]) == 0\n"
+            "assert 'scipy.special' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

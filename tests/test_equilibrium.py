@@ -35,8 +35,9 @@ def make_config(**kw):
     return EquilibriumConfig(**base)
 
 
-def toy_dynamics(seed=0, n=6, a=3, b=2, k=2):
-    """Hand-built deterministic finite MDP with stochastic-matrix weights."""
+def toy_factors(seed=0, n=6, a=3, b=2, k=2):
+    """Hand-built deterministic finite MDP: rewards, successors and the
+    stochastic-matrix type and quadrature weights."""
     rng = rngmod.stream(777, "toy", seed)
     reward = rng.uniform(-10.0, 10.0, size=(n, a))
     next_idx = rng.integers(0, n, size=(n, a, b, k))
@@ -44,7 +45,32 @@ def toy_dynamics(seed=0, n=6, a=3, b=2, k=2):
     type_probs /= type_probs.sum(axis=1, keepdims=True)
     quad = rng.random(k)
     quad /= quad.sum()
-    return DiscretizedDynamics(reward, next_idx, type_probs, quad)
+    return reward, next_idx, type_probs, quad
+
+
+def toy_dynamics(seed=0):
+    reward, next_idx, type_probs, quad = toy_factors(seed)
+    return DiscretizedDynamics(reward, next_idx,
+                               type_probs[:, :, None] * quad[None, None, :])
+
+
+def fine_config():
+    """The 8 x 8 x 3 = 192-node grid with the default 8-point quadrature."""
+    return make_config(inventory_axis=tuple(5.0 * i for i in range(8)),
+                       intercept_axis=tuple(30.0 + 3.75 * i for i in range(8)),
+                       quad_points=8)
+
+
+def reference_bellman(values, reward, next_idx, type_probs, quad, delta):
+    """Bellman sweep as an explicit sum over rival types b and quadrature
+    nodes k of type_prob * quad_weight * v[next_idx]."""
+    n, a, b, k = next_idx.shape
+    cont = np.zeros((n, a))
+    for ib in range(b):
+        for ik in range(k):
+            cont += type_probs[:, ib, None] * quad[ik] * values[next_idx[:, :, ib, ik]]
+    q_vals = reward + delta * cont
+    return q_vals.max(axis=1), q_vals.argmax(axis=1)
 
 
 # --------------------------------------------------------------- contraction
@@ -77,7 +103,7 @@ def test_bellman_constant_shift_achieves_modulus():
 def test_zero_reward_fixed_point_is_zero():
     dyn = toy_dynamics()
     dyn = DiscretizedDynamics(np.zeros_like(dyn.reward), dyn.next_idx,
-                              dyn.type_probs, dyn.quad_weights)
+                              dyn.weights)
     v = np.zeros(6)
     tv, _ = bellman_core(v, dyn, 0.9)
     np.testing.assert_array_equal(tv, 0.0)
@@ -87,7 +113,7 @@ def test_reward_shift_moves_fixed_point_by_geometric_sum():
     delta = 0.9
     dyn = toy_dynamics()
     shifted = DiscretizedDynamics(dyn.reward + 5.0, dyn.next_idx,
-                                  dyn.type_probs, dyn.quad_weights)
+                                  dyn.weights)
     v1 = np.zeros(6)
     v2 = np.zeros(6)
     for _ in range(600):
@@ -95,6 +121,52 @@ def test_reward_shift_moves_fixed_point_by_geometric_sum():
         v2, g2 = bellman_core(v2, shifted, delta)
     np.testing.assert_allclose(v2 - v1, 5.0 / (1.0 - delta), atol=1e-6)
     np.testing.assert_array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("toy_seed", [0, 1, 2])
+def test_bellman_core_matches_explicit_branch_sum_toy(toy_seed):
+    reward, next_idx, type_probs, quad = toy_factors(toy_seed)
+    dyn = toy_dynamics(toy_seed)
+    rng = rngmod.stream(85, "parity", toy_seed)
+    for _ in range(20):
+        v = rng.uniform(-100, 100, size=reward.shape[0])
+        got_v, got_g = bellman_core(v, dyn, 0.9)
+        want_v, want_g = reference_bellman(v, reward, next_idx, type_probs,
+                                           quad, 0.9)
+        np.testing.assert_allclose(got_v, want_v, rtol=1e-12)
+        np.testing.assert_array_equal(got_g, want_g)
+
+
+def test_bellman_core_matches_explicit_branch_sum_on_model_grid():
+    config = fine_config()
+    model = make_model()
+    grid = build_belief_grid(config)
+    assert grid.n_nodes == 192
+    # rival types act differently, so the type belief moves on the branches
+    rivals = (GridPolicy(np.full(grid.n_nodes, 3)),
+              GridPolicy(np.full(grid.n_nodes, 10)))
+    dyn = build_dynamics(grid, config, model, LOW, rivals)
+    mu_hi = grid.nodes[:, 2]
+    type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)
+    quad = np.polynomial.hermite.hermgauss(config.quad_points)[1] / np.sqrt(np.pi)
+    rng = rngmod.stream(86, "parity")
+    for _ in range(10):
+        v = rng.uniform(-1000, 1000, size=grid.n_nodes)
+        got_v, got_g = bellman_core(v, dyn, config.delta)
+        want_v, want_g = reference_bellman(v, dyn.reward, dyn.next_idx,
+                                           type_probs, quad, config.delta)
+        np.testing.assert_allclose(got_v, want_v, rtol=1e-12)
+        np.testing.assert_array_equal(got_g, want_g)
+
+
+def test_build_dynamics_weights_are_a_distribution_per_node():
+    config = fine_config()
+    grid = build_belief_grid(config)
+    mid = GridPolicy(np.full(grid.n_nodes, 7))
+    dyn = build_dynamics(grid, config, make_model(), LOW, (mid, mid))
+    assert dyn.weights.shape == (grid.n_nodes, 2, config.quad_points)
+    assert np.all(dyn.weights >= 0.0)
+    np.testing.assert_allclose(dyn.weights.sum(axis=(1, 2)), 1.0, rtol=1e-12)
 
 
 def test_contraction_check_on_model_dynamics():
@@ -226,6 +298,12 @@ def test_grid_axes_validation():
     for bad in (dict(tol=0.0), dict(tol=-1e-6), dict(max_iter=0)):
         with pytest.raises(ValueError):
             make_config(**bad)
+
+
+def test_refresh_without_rng_rejected():
+    config = make_config(refresh_trajectories=5)
+    with pytest.raises(ValueError, match="rng"):
+        equilibrium_iteration(config, make_model())
 
 
 def test_node_budget_enforced():

@@ -143,7 +143,8 @@ def test_bootstrap_separated_samples_give_positive_interval():
     rng = rngmod.stream(3, "boot")
     a = rng.normal(100.0, 5.0, size=200)
     b = rng.normal(10.0, 5.0, size=200)
-    rep = bootstrap_diff(a, b, resamples=4000, rng=rngmod.stream(3, "r"))
+    rep = bootstrap_diff(a, b, resamples=4000, level=0.95,
+                         rng=rngmod.stream(3, "r"))
     assert rep.profit_ci[0] > 0.0
     assert rep.mean_diff_profit == pytest.approx(90.0, abs=2.0)
 
@@ -152,7 +153,8 @@ def test_bootstrap_identical_distributions_cover_zero():
     rng = rngmod.stream(5, "boot")
     a = rng.normal(0.0, 10.0, size=300)
     b = rng.normal(0.0, 10.0, size=300)
-    rep = bootstrap_diff(a, b, resamples=4000, rng=rngmod.stream(5, "r"))
+    rep = bootstrap_diff(a, b, resamples=4000, level=0.95,
+                         rng=rngmod.stream(5, "r"))
     assert rep.profit_ci[0] < 0.0 < rep.profit_ci[1]
 
 
