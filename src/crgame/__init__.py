@@ -19,8 +19,7 @@ from .learning import (ObservationRecord, PosteriorDegenerateError,
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      credible_risk_score, expected_profit_closed_form,
                      expected_sales_closed_form, forecast_rival_action,
-                     predictive_draws, predictive_profit_moments,
-                     select_action)
+                     predictive_draws, select_action)
 from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,
                           EquilibriumModel, GridPolicy, IterationDiagnostics,
                           NonConvergenceError, build_belief_grid,

@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
         cfg = load_config(args.config, {
             "replications": args.replications,
             "horizon": args.horizon,
-            "master_seed": args.seed,
+            "master_seed": _seed(args),
             "kappa": args.kappa,
             "salvage_mode": args.salvage_mode,
             "policies": args.policy,
@@ -329,7 +329,7 @@ def build_eq_inputs(cfg: dict):
 
 def cmd_equilibrium(args) -> int:
     try:
-        cfg = load_config(args.config, {"master_seed": args.seed})
+        cfg = load_config(args.config, {"master_seed": _seed(args)})
         eq_config, model, sim = build_eq_inputs(cfg)
         trials = _coerce("equilibrium.contraction_trials", "int",
                          cfg["equilibrium"]["contraction_trials"])
@@ -397,6 +397,14 @@ def _md_table(header, rows) -> str:
     return "\n".join(lines)
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def cmd_report(args) -> int:
     summary_path = os.path.join(args.results, "summary.json")
     bootstrap_path = os.path.join(args.results, "bootstrap.json")
@@ -404,12 +412,13 @@ def cmd_report(args) -> int:
         print(f"missing {summary_path}; run `crgame simulate` first",
               file=sys.stderr)
         return EXIT_IO
-    with open(summary_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
-    bootstrap = {}
-    if os.path.isfile(bootstrap_path):
-        with open(bootstrap_path, encoding="utf-8") as fh:
-            bootstrap = json.load(fh)
+    try:
+        summary = _read_json(summary_path)
+        bootstrap = _read_json(bootstrap_path) \
+            if os.path.isfile(bootstrap_path) else {}
+    except (OSError, ValueError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     def num(v, nd=4):
         return "n/a" if v is None else f"{v:.{nd}f}"
@@ -464,9 +473,15 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
-def _env_seed() -> int | None:
+def _seed(args) -> int | None:
+    """``--seed``, else ``CRGAME_SEED``, else None (the config's seed)."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("CRGAME_SEED")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ConfigError(f"CRGAME_SEED must be an integer, got {raw!r}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -479,7 +494,7 @@ def make_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
     sim.add_argument("--config", metavar="PATH")
     sim.add_argument("--out", metavar="DIR", required=True)
-    sim.add_argument("--seed", type=int, default=_env_seed())
+    sim.add_argument("--seed", type=int)
     sim.add_argument("--replications", type=int)
     sim.add_argument("--horizon", type=int)
     sim.add_argument("--policy", action="append", choices=POLICIES)
@@ -491,7 +506,7 @@ def make_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("equilibrium", help="solve the belief-grid game")
     eq.add_argument("--config", metavar="PATH")
     eq.add_argument("--out", metavar="DIR", required=True)
-    eq.add_argument("--seed", type=int, default=_env_seed())
+    eq.add_argument("--seed", type=int)
     eq.set_defaults(func=cmd_equilibrium)
 
     rep = sub.add_parser("report", help="render tables from simulate outputs")

@@ -72,8 +72,13 @@ class EquilibriumConfig:
             raise ValueError("discount factor must lie in [0, 1)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if self.kappa < 0:
+            raise ValueError("kappa must be nonnegative")
+        for name in ("quad_points", "max_iter", "sweep_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.refresh_trajectories < 0:
+            raise ValueError("refresh_trajectories must be nonnegative")
         for name in ("inventory_axis", "intercept_axis", "belief_axis"):
             axis = np.asarray(getattr(self, name), dtype=float)
             if axis.size < 2:

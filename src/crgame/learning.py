@@ -504,15 +504,14 @@ def online_update(hyper: PosteriorHyper, record: ObservationRecord,
     raise ValueError(f"unknown online update mode {mode!r}")
 
 
-def update_type_belief(belief: TypeBelief, observed_rival_action,
-                       action_model) -> TypeBelief:
+def update_type_belief(belief: TypeBelief, likelihood) -> TypeBelief:
     """Pointwise Bayes update of the rival-type belief.
 
-    ``action_model(action)`` returns the per-type likelihood vector of the
-    observed action. An all-zero likelihood (degenerate evidence) returns the
-    prior unchanged with the degenerate flag set.
+    ``likelihood`` is the per-type likelihood vector of the observed rival
+    action. An all-zero likelihood (degenerate evidence) returns the prior
+    unchanged with the degenerate flag set.
     """
-    like = np.asarray(action_model(observed_rival_action), dtype=float)
+    like = np.asarray(likelihood, dtype=float)
     if like.shape != belief.probs.shape:
         raise ValueError("likelihood vector does not match belief support")
     if np.any(like < 0):

@@ -27,8 +27,6 @@ __all__ = [
     "expected_profit_closed_form",
     "forecast_rival_action",
     "predictive_draws",
-    "predictive_profit_moments",
-    "score_action_grid",
     "static_prior_scores",
     "select_action",
 ]
@@ -78,6 +76,8 @@ class PolicyConfig:
                 raise ValueError("action grids must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("action grids must be strictly increasing")
+        if self.quantity_grid[0] < 0:
+            raise ValueError("order quantities in quantity_grid must be nonnegative")
         if self.salvage_mode not in SALVAGE_MODES:
             raise ValueError(f"unknown salvage mode {self.salvage_mode!r}")
         if self.rival_forecast not in RIVAL_FORECAST_RULES:
@@ -214,35 +214,6 @@ def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
     return coef, sig, z
 
 
-def score_action_grid(state: BeliefState, rival_forecast: Action,
-                      config: PolicyConfig, draws) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo profit mean/sd for every grid action under shared draws."""
-    return _profit_moments(state, rival_forecast, config, draws,
-                           config.price_grid, config.quantity_grid)
-
-
-def _profit_moments(state: BeliefState, rival_forecast: Action,
-                    config: PolicyConfig, draws, prices, quantities):
-    coef, sig, z = draws
-    salvage_on = config.salvage_mode == "per-period"
-    return kernels.profit_moments_grid(
-        coef, sig, z,
-        np.asarray(prices, dtype=float), np.asarray(quantities, dtype=float),
-        state.inventory, rival_forecast.price, state.last_rival_stockout,
-        state.own_type.c, state.own_type.h, state.own_type.s, salvage_on)
-
-
-def predictive_profit_moments(state: BeliefState, candidate: Action,
-                              rival_forecast: Action, config: PolicyConfig,
-                              rng: np.random.Generator) -> tuple[float, float]:
-    """Posterior-predictive profit mean and sd for a single candidate action."""
-    draws = predictive_draws(state.demand_posterior, config.predictive_samples,
-                             rng, config.sigma_mode, config.fixed_sigma)
-    means, sds = _profit_moments(state, rival_forecast, config, draws,
-                                 (candidate.price,), (candidate.quantity,))
-    return float(means[0]), float(sds[0])
-
-
 def static_prior_scores(prior_mean, sigma, config: PolicyConfig,
                         firm_type: FirmType) -> np.ndarray:
     """Frozen-prior expected profit per grid action.
@@ -276,8 +247,13 @@ def select_action(state: BeliefState, config: PolicyConfig, policy: str,
     else:
         kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
         rival = forecast_rival_action(state, config)
-        draws = predictive_draws(state.demand_posterior, config.predictive_samples,
-                                 rng, config.sigma_mode, config.fixed_sigma)
-        means, sds = score_action_grid(state, rival, config, draws)
+        coef, sig, z = predictive_draws(state.demand_posterior,
+                                        config.predictive_samples, rng,
+                                        config.sigma_mode, config.fixed_sigma)
+        own = state.own_type
+        means, sds = kernels.profit_moments_grid(
+            coef, sig, z, config.price_grid, config.quantity_grid,
+            state.inventory, rival.price, state.last_rival_stockout,
+            own.c, own.h, own.s, config.salvage_mode == "per-period")
     scores = means - kappa * sds
     return _grid_action(config, int(np.argmax(scores))), (means, sds, scores)

@@ -166,6 +166,13 @@ BAD_VALUES = [
          "equilibrium.contraction_trials", suffix="=-1"),
     _bad("equilibrium", {"equilibrium": {"contraction_seed": 7}},
          "equilibrium.contraction_seed"),
+    _bad("equilibrium", {"equilibrium": {"quad_points": 0}}, "quad_points"),
+    _bad("equilibrium", {"equilibrium": {"sweep_cap": 0}}, "sweep_cap"),
+    _bad("equilibrium", {"equilibrium": {"kappa": -1.0}}, "kappa"),
+    _bad("equilibrium", {"equilibrium": {"refresh_trajectories": -3}},
+         "refresh_trajectories"),
+    _bad("simulate", {"simulation": {"quantity_grid": [-5, 10]}},
+         "quantity_grid"),
 ]
 
 
@@ -198,6 +205,31 @@ def test_io_error_unwritable_out(tmp_path):
 
 def test_report_missing_results_dir(tmp_path):
     assert run_cli(["report", str(tmp_path / "nope")]) == 4
+
+
+@pytest.mark.parametrize("corrupt", ["summary.json", "bootstrap.json"])
+def test_report_corrupt_results_file(tmp_path, capsys, corrupt):
+    (tmp_path / "summary.json").write_text(json.dumps({"policies": {}}))
+    (tmp_path / corrupt).write_text("{not json")
+    assert run_cli(["report", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and corrupt in err, err
+
+
+def test_non_integer_env_seed_is_a_config_error(outdir, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setenv("CRGAME_SEED", "abc")
+    for command in ("simulate", "equilibrium"):
+        assert run_cli([command, "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "CRGAME_SEED" in err, err
+        assert not os.path.exists(outdir)
+    # --seed overrides the variable, and report does not read it
+    assert run_cli(["simulate", "--out", outdir, "--replications", "1",
+                    "--horizon", "2", "--seed", "3"]) == 0
+    (tmp_path / "res").mkdir()
+    (tmp_path / "res" / "summary.json").write_text(json.dumps({"policies": {}}))
+    assert run_cli(["report", str(tmp_path / "res")]) == 0
 
 
 # ------------------------------------------------------------------- report

@@ -238,20 +238,19 @@ def test_online_update_floored_pulls_mean_down():
 
 def test_type_belief_bayes_rule():
     belief = TypeBelief(np.array([0.5, 0.5]))
-    updated = update_type_belief(belief, "anything",
-                                 lambda a: np.array([0.2, 0.8]))
+    updated = update_type_belief(belief, np.array([0.2, 0.8]))
     np.testing.assert_allclose(updated.probs, [0.2, 0.8])
 
 
 def test_type_belief_uniform_likelihood_is_identity():
     belief = TypeBelief(np.array([0.3, 0.7]))
-    updated = update_type_belief(belief, None, lambda a: np.array([1.0, 1.0]))
+    updated = update_type_belief(belief, np.array([1.0, 1.0]))
     np.testing.assert_allclose(updated.probs, belief.probs)
 
 
 def test_type_belief_degenerate_evidence_keeps_prior():
     belief = TypeBelief(np.array([0.3, 0.7]))
-    updated = update_type_belief(belief, None, lambda a: np.array([0.0, 0.0]))
+    updated = update_type_belief(belief, np.array([0.0, 0.0]))
     np.testing.assert_allclose(updated.probs, belief.probs)
     assert updated.degenerate
 
@@ -262,8 +261,7 @@ def test_type_belief_degenerate_evidence_keeps_prior():
 def test_type_belief_stays_probability_vector(likelihoods):
     belief = TypeBelief(np.array([0.5, 0.5]))
     for l0, l1 in likelihoods:
-        belief = update_type_belief(belief, None,
-                                    lambda a, v=(l0, l1): np.array(v))
+        belief = update_type_belief(belief, np.array([l0, l1]))
         assert belief.probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(belief.probs >= 0.0)
 

@@ -11,7 +11,6 @@ from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
                            expected_profit_closed_form,
                            expected_sales_closed_form, expected_sales_floored,
                            forecast_rival_action, predictive_draws,
-                           predictive_profit_moments, score_action_grid,
                            select_action, static_prior_scores)
 from crgame.simharness import SimConfig
 
@@ -92,9 +91,12 @@ def test_grid_moments_match_single_candidate():
         config = make_config(salvage_mode=salvage_mode)
         salvage = LOW.s if salvage_mode == "per-period" else 0.0
         for rival_stockout in (False, True):
-            state = make_state(inventory=5.0)
+            state = make_state(inventory=5.0, last_rival=rival)
             state.last_rival_stockout = rival_stockout
-            means, sds = score_action_grid(state, rival, config, draws)
+            # select_action draws the same set from the same stream
+            _, (means, sds, _) = select_action(
+                state, config, "bayesian-risk-neutral",
+                rngmod.stream(9, "draws"))
             # recompute every cell by hand from the same draw set
             for ip, p in enumerate(PRICE_GRID):
                 x = np.array([1.0, p, rival.price, float(rival_stockout)])
@@ -207,12 +209,11 @@ def test_kappa_lowers_selected_sd():
     sds = []
     for kappa in (0.0, 0.3, 0.6, 1.2):
         config = make_config(kappa=kappa)
-        state = make_state()
-        rival = forecast_rival_action(state, config)
-        draws = _draws(n=config.predictive_samples, seed=55)
-        means, sd_grid = score_action_grid(state, rival, config, draws)
-        idx = int(np.argmax(means - kappa * sd_grid))
-        sds.append(sd_grid[idx])
+        _, (means, sd_grid, scores) = select_action(
+            make_state(), config, "proposed-credible-risk",
+            rngmod.stream(55, "draws"))
+        np.testing.assert_array_equal(scores, means - kappa * sd_grid)
+        sds.append(sd_grid[int(np.argmax(scores))])
     assert all(a >= b - 1e-12 for a, b in zip(sds, sds[1:]))
 
 
@@ -261,16 +262,20 @@ def test_forecast_rules():
 
 def test_predictive_profit_moments_consistency():
     config = make_config()
-    state = make_state()
     candidate, rival = Action(20.0, 12.0), Action(40.0, 12.0)
-    m, s = predictive_profit_moments(state, candidate, rival, config,
-                                     rngmod.stream(107, "pm"))
+    state = make_state(last_rival=rival)
+    # the kernel on one candidate, from the draws select_action makes
+    coef, sig, z = predictive_draws(state.demand_posterior,
+                                    config.predictive_samples,
+                                    rngmod.stream(107, "pm"), config.sigma_mode,
+                                    config.fixed_sigma)
+    (m,), (s,) = kernels.profit_moments_grid(
+        coef, sig, z, (candidate.price,), (candidate.quantity,),
+        state.inventory, rival.price, False, LOW.c, LOW.h, LOW.s, True)
     assert np.isfinite(m) and s > 0.0
     # the same cell of the full grid, scored from the same stream
-    draws = predictive_draws(state.demand_posterior, config.predictive_samples,
-                             rngmod.stream(107, "pm"), config.sigma_mode,
-                             config.fixed_sigma)
-    means, sds = score_action_grid(state, rival, config, draws)
+    _, (means, sds, _) = select_action(state, config, "bayesian-risk-neutral",
+                                       rngmod.stream(107, "pm"))
     flat = (PRICE_GRID.index(candidate.price) * len(QTY_GRID)
             + QTY_GRID.index(candidate.quantity))
     assert (m, s) == (means[flat], sds[flat])

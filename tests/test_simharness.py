@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from crgame import learning, rng as rngmod
+from crgame import learning, rng as rngmod, simharness
+from crgame.market import DemandParams
 from crgame.simharness import (SimConfig, bootstrap_diff, dominance_curve,
                                relative_improvement, run_experiment,
                                run_replication, summarize_relative)
@@ -90,6 +91,22 @@ def test_one_gibbs_refresh_per_censored_period(sigma_mode, monkeypatch):
             assert calls == want
             both += int(hidden.all(axis=1).sum())
     assert both > 0  # some period had two hidden records and skipped one
+
+
+def test_fixed_sigma_filter_uses_the_prior_implied_sd(monkeypatch):
+    """A fixed-sigma firm filters with the sd it scores with, not the truth."""
+    seen = []
+    update = simharness.online_update
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["noise_sd"])
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(simharness, "online_update", recorded)
+    cfg = small_config(horizon=3, true_params=DemandParams(45.0, -3.6, 1.2,
+                                                           7.5, 6.0))
+    run_replication(cfg, "bayesian-risk-neutral", 0)
+    assert seen and set(seen) == {4.5}  # sqrt(prior_b / (prior_a - 1))
 
 
 # ------------------------------------------------------------------ metrics
