@@ -17,7 +17,7 @@ from .learning import (ObservationRecord, PosteriorDegenerateError,
                        truncated_normal_lower, truncated_normal_upper,
                        update_type_belief)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
-                     credible_risk_score, expected_profit_closed_form,
+                     expected_profit_closed_form,
                      expected_sales_closed_form, forecast_rival_action,
                      predictive_draws, select_action)
 from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,

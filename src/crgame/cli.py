@@ -320,9 +320,11 @@ def build_eq_inputs(cfg: dict):
                        quantity_grid=sim.quantity_grid)
     low = sim.firm_type(sim.cost_low)
     high = sim.firm_type(sim.cost_high)
+    # the solver reads the prior as normal-inverse-gamma (S a scale matrix,
+    # sd sqrt(b / (a - 1))) whatever the study's sigma_mode
     model = EquilibriumModel(
         firm_types=(low, high), rival_types=(low, high),
-        hyper=sim.prior_hyper(),
+        hyper=dataclasses.replace(sim.prior_hyper(), fixed_sd=None),
         salvage_on=sim.salvage_mode == "per-period")
     return eq_config, model, sim
 
@@ -414,6 +416,9 @@ def cmd_report(args) -> int:
         return EXIT_IO
     try:
         summary = _read_json(summary_path)
+        if not isinstance(summary, dict) \
+                or not isinstance(summary.get("policies"), dict):
+            raise ValueError(f"{summary_path} holds no policies object")
         bootstrap = _read_json(bootstrap_path) \
             if os.path.isfile(bootstrap_path) else {}
     except (OSError, ValueError) as exc:

@@ -74,7 +74,7 @@ class EquilibriumConfig:
             raise ValueError("tol must be positive")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
-        for name in ("quad_points", "max_iter", "sweep_cap"):
+        for name in ("quad_points", "max_iter", "sweep_cap", "refresh_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.refresh_trajectories < 0:
@@ -95,9 +95,6 @@ class EquilibriumModel:
     rival_types: tuple          # (low-cost FirmType, high-cost FirmType)
     hyper: PosteriorHyper       # frozen posterior; intercept mean varies per node
     salvage_on: bool = True
-
-    def sigma(self) -> float:
-        return self.hyper.noise_sd()
 
 
 @dataclass
@@ -194,7 +191,7 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     n_q = quants.size
     zq, wq = _hermite_rule(config.quad_points)
     n_nodes = grid.n_nodes
-    sigma, coef, S = model.sigma(), model.hyper.m, model.hyper.S
+    sigma, coef, S = model.hyper.noise_sd(), model.hyper.m, model.hyper.S
 
     inv, m0, mu_hi = grid.nodes.T
     type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)                 # (N, B)
@@ -384,7 +381,7 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
     prices = np.asarray(config.price_grid, dtype=float)
     quants = np.asarray(config.quantity_grid, dtype=float)
     n_q = quants.size
-    sigma = model.sigma()
+    sigma = model.hyper.noise_sd()
     acc_S = np.zeros_like(model.hyper.S)
     acc_m = np.zeros_like(model.hyper.m)
     acc_a = 0.0
@@ -410,7 +407,8 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
         acc_a += hyper.a
         acc_b += hyper.b
     k = config.refresh_trajectories
-    new_hyper = PosteriorHyper(acc_m / k, acc_S / k, acc_a / k, acc_b / k)
+    new_hyper = PosteriorHyper(acc_m / k, acc_S / k, acc_a / k, acc_b / k,
+                               model.hyper.fixed_sd)
     return EquilibriumModel(model.firm_types, model.rival_types, new_hyper,
                             model.salvage_on)
 

@@ -38,7 +38,7 @@ replace unread is not run (``simharness.run_replication``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,21 +88,27 @@ def _ensure_pd(S: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
 
 @dataclass
 class PosteriorHyper:
-    """Normal-inverse-gamma hyperparameters (m, S, a, b)."""
+    """Normal-inverse-gamma hyperparameters (m, S, a, b) and the noise
+    convention. ``fixed_sd`` None: the noise sd is learned, S is the
+    coefficients' scale matrix and updates move a and b. A value: the noise
+    sd is known, S is the coefficients' covariance itself and a and b stay."""
 
     m: np.ndarray
     S: np.ndarray
     a: float
     b: float
+    fixed_sd: float | None = None
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
         self.S = _ensure_pd(np.asarray(self.S, dtype=float))
         if not (self.a > 0 and self.b > 0):
             raise ValueError("inverse-gamma shape and rate must be positive")
+        if self.fixed_sd is not None and not self.fixed_sd > 0:
+            raise ValueError("fixed_sd must be positive")
 
     def copy(self) -> "PosteriorHyper":
-        return PosteriorHyper(self.m.copy(), self.S.copy(), self.a, self.b)
+        return replace(self, m=self.m.copy(), S=self.S.copy())
 
     def noise_variance_mean(self) -> float:
         """Posterior mean of the noise variance (requires a > 1)."""
@@ -111,6 +117,9 @@ class PosteriorHyper:
         return self.b / (self.a - 1.0)
 
     def noise_sd(self) -> float:
+        """The known noise sd, else the root of the variance's posterior mean."""
+        if self.fixed_sd is not None:
+            return self.fixed_sd
         return float(np.sqrt(self.noise_variance_mean()))
 
 
@@ -140,29 +149,29 @@ class ObservationRecord:
     floored: bool = False  # zero sales without a stockout: latent demand <= 0
 
 
-def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray, demand: float,
-                     noise_sd: float | None = None) -> PosteriorHyper:
+def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray,
+                     demand: float) -> PosteriorHyper:
     """Exact one-observation posterior update.
 
-    Default is the normal-inverse-gamma recursion (rank-one update of S,
-    a += 1/2, b += scaled squared residual / 2). With ``noise_sd`` given, S is
-    treated as the coefficient covariance under a fixed noise scale and the
-    inverse-gamma component is left untouched.
+    With the noise sd learned, the normal-inverse-gamma recursion (rank-one
+    update of S, a += 1/2, b += scaled squared residual / 2). With it known
+    (``hyper.fixed_sd``), the Gaussian recursion of the coefficient
+    covariance S; the inverse-gamma component is left untouched.
     """
     x = np.asarray(covariate, dtype=float)
     y = float(demand)
     Sx = hyper.S @ x
     resid = y - float(x @ hyper.m)
-    if noise_sd is None:
+    if hyper.fixed_sd is None:
         denom = 1.0 + float(x @ Sx)
         a = hyper.a + 0.5
         b = hyper.b + 0.5 * resid * resid / denom
     else:
-        denom = noise_sd**2 + float(x @ Sx)
+        denom = hyper.fixed_sd**2 + float(x @ Sx)
         a, b = hyper.a, hyper.b
     m = hyper.m + Sx * (resid / denom)
     S = hyper.S - np.outer(Sx, Sx) / denom
-    return PosteriorHyper(m, S, a, b)
+    return PosteriorHyper(m, S, a, b, hyper.fixed_sd)
 
 
 def batch_conjugate_posterior(prior: PosteriorHyper, X: np.ndarray,
@@ -236,28 +245,23 @@ def truncated_normal_upper(mean, sd, upper, rng: np.random.Generator):
 
 
 def sample_truncated_latent(hyper: PosteriorHyper, covariate: np.ndarray,
-                            bound: float, sigma_draw: float,
-                            rng: np.random.Generator,
-                            side: str = "lower",
-                            literal_cov: bool = False) -> float:
-    """One posterior-predictive latent-demand draw past a censoring bound.
+                            bound: float, rng: np.random.Generator,
+                            side: str = "lower") -> float:
+    """One posterior-predictive latent-demand draw past a censoring bound,
+    at the posterior's point noise sd.
 
     ``side='lower'`` restricts to [bound, inf) — a stockout hides the demand
     excess above stock. ``side='upper'`` restricts to (-inf, bound] — zero
     sales without a stockout reveal only that latent demand was at most zero.
-    ``literal_cov`` marks S as the coefficient covariance itself
-    (known-variance recursion) rather than the scale matrix of the
-    normal-inverse-gamma family.
     """
-    if not sigma_draw > 0:
-        raise ValueError("sigma_draw must be positive")
     x = np.asarray(covariate, dtype=float)
     mean = float(x @ hyper.m)
     quad = float(x @ hyper.S @ x)
-    if literal_cov:
-        sd = float(np.sqrt(sigma_draw**2 + quad))
-    else:
-        sd = sigma_draw * float(np.sqrt(1.0 + quad))
+    sigma = hyper.noise_sd()
+    if hyper.fixed_sd is None:
+        sd = sigma * float(np.sqrt(1.0 + quad))
+    else:  # S is the coefficient covariance itself
+        sd = float(np.sqrt(sigma**2 + quad))
     if side == "lower":
         return truncated_normal_lower(mean, sd, bound, rng)
     if side == "upper":
@@ -277,8 +281,7 @@ FIXED_CHAINS = 4
 
 def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
                   rng: np.random.Generator, sweeps: int | None = None,
-                  burn_in: int | None = None,
-                  noise_sd: float | None = None) -> PosteriorHyper:
+                  burn_in: int | None = None) -> PosteriorHyper:
     """Data-augmentation Gibbs over the full history, moment-matched back to
     normal-inverse-gamma hyperparameters.
 
@@ -288,22 +291,21 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     sweep contributes the exact mean and covariance of the coefficients
     given its latents (and variance), not its coefficient draw, so with no
     censored records ``m`` is the batch conjugate posterior mean.
-    ``noise_sd`` pins the noise scale (known-variance recursion: S is the
-    literal coefficient covariance and the inverse-gamma component is left
-    untouched); the refresh then runs ``FIXED_CHAINS`` chains of
-    ``burn_in`` + ``sweeps`` each. ``sweeps`` and ``burn_in`` left ``None``
-    take the ``GIBBS_CHAIN`` lengths.
+    A prior with a known noise sd (``prior.fixed_sd``: S is the literal
+    coefficient covariance and the inverse-gamma component is left
+    untouched) runs ``FIXED_CHAINS`` chains of ``burn_in`` + ``sweeps``
+    each. ``sweeps`` and ``burn_in`` left ``None`` take the ``GIBBS_CHAIN``
+    lengths.
     """
-    chain = GIBBS_CHAIN["learn" if noise_sd is None else "fixed"]
+    chain = GIBBS_CHAIN["learn" if prior.fixed_sd is None else "fixed"]
     burn_in = chain[0] if burn_in is None else burn_in
     sweeps = chain[1] if sweeps is None else sweeps
     if sweeps < 2:
         raise ValueError("sweeps must be >= 2")
     if not history:
         return prior.copy()
-    if noise_sd is not None:
-        return _gibbs_refresh_fixed(prior, history, sweeps, rng, burn_in,
-                                    float(noise_sd))
+    if prior.fixed_sd is not None:
+        return _gibbs_refresh_fixed(prior, history, sweeps, rng, burn_in)
 
     X, y, cens = _history_arrays(history)
     n, p = X.shape
@@ -414,7 +416,7 @@ def _history_arrays(history: list[ObservationRecord]):
 
 def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord],
                          sweeps: int, rng: np.random.Generator,
-                         burn_in: int, noise_sd: float) -> PosteriorHyper:
+                         burn_in: int) -> PosteriorHyper:
     """Known-variance data-augmentation chains; only coefficients are
     latent.
 
@@ -431,6 +433,7 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     X, y, cens = _history_arrays(history)
     n, p = X.shape
     k, N, C = len(cens.rows), burn_in + sweeps, FIXED_CHAINS
+    noise_sd = prior.fixed_sd
     s2 = noise_sd**2
 
     S0_inv = np.linalg.inv(prior.S)
@@ -460,47 +463,34 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     E = E[burn_in:].reshape(C * sweeps, k)
     m = base + noise_sd * (Gs @ E.mean(axis=0))
     S = Sn + s2 * (Gs @ _cov_rows(E) @ Gs.T)
-    return PosteriorHyper(m, S, prior.a, prior.b)
+    return replace(prior, m=m, S=S)
 
 
 def online_update(hyper: PosteriorHyper, record: ObservationRecord,
                   rng: np.random.Generator, mode: str = "single-imputation",
                   prior: PosteriorHyper | None = None,
-                  history: list[ObservationRecord] | None = None,
-                  sweeps: int | None = None, burn_in: int | None = None,
-                  noise_sd: float | None = None) -> PosteriorHyper:
+                  history: list[ObservationRecord] | None = None
+                  ) -> PosteriorHyper:
     """Per-period posterior recursion.
 
     Uncensored records take the exact conjugate path. Censored (stockout)
     and floored (zero-sales) records are either handled by one
     truncated-normal imputation at the current posterior predictive
-    (default) or by a Gibbs refresh over the retained history
-    (``mode='gibbs-every-period'``, requires ``prior`` + ``history``
-    including the new record), whose chain length ``sweeps`` and ``burn_in``
-    default to ``GIBBS_CHAIN``'s. ``noise_sd`` switches to the
-    known-variance Gaussian recursion throughout.
+    (default) or by a Gibbs refresh over the retained history at
+    ``GIBBS_CHAIN``'s lengths (``mode='gibbs-every-period'``, requires
+    ``prior`` + ``history`` including the new record).
     """
     if not record.censored and not record.floored:
-        return conjugate_update(hyper, record.covariate, record.sales,
-                                noise_sd=noise_sd)
+        return conjugate_update(hyper, record.covariate, record.sales)
     if mode == "single-imputation":
-        sd = hyper.noise_sd() if noise_sd is None else noise_sd
-        literal = noise_sd is not None
-        if record.censored:
-            latent = sample_truncated_latent(hyper, record.covariate,
-                                             record.stock, sd, rng,
-                                             side="lower", literal_cov=literal)
-        else:
-            latent = sample_truncated_latent(hyper, record.covariate, 0.0,
-                                             sd, rng, side="upper",
-                                             literal_cov=literal)
-        return conjugate_update(hyper, record.covariate, latent,
-                                noise_sd=noise_sd)
+        bound, side = (record.stock, "lower") if record.censored else (0.0, "upper")
+        latent = sample_truncated_latent(hyper, record.covariate, bound, rng,
+                                         side=side)
+        return conjugate_update(hyper, record.covariate, latent)
     if mode == "gibbs-every-period":
         if prior is None or history is None:
             raise ValueError("gibbs mode needs the original prior and full history")
-        return gibbs_refresh(prior, history, rng, sweeps=sweeps,
-                             burn_in=burn_in, noise_sd=noise_sd)
+        return gibbs_refresh(prior, history, rng)
     raise ValueError(f"unknown online update mode {mode!r}")
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "POLICIES",
     "BeliefState",
     "PolicyConfig",
-    "credible_risk_score",
     "expected_sales_closed_form",
     "expected_sales_floored",
     "expected_profit_closed_form",
@@ -61,8 +60,6 @@ class PolicyConfig:
     kappa: float
     predictive_samples: int
     salvage_mode: str
-    sigma_mode: str                    # "learn" draws sigma^2 ~ IG(a, b); "fixed" pins it
-    fixed_sigma: float
     rival_forecast: str
     rival_types: tuple = ()            # (low, high) FirmType, read by the type-weighted rule
 
@@ -85,13 +82,6 @@ class PolicyConfig:
         if self.rival_forecast == "type-weighted" and len(self.rival_types) != 2:
             raise ValueError("the type-weighted rival forecast needs the two "
                              "rival types")
-
-
-def credible_risk_score(mean: float, sd: float, kappa: float) -> float:
-    """Posterior mean payoff penalized by kappa times predictive dispersion."""
-    if sd < 0 or kappa < 0:
-        raise ValueError("sd and kappa must be nonnegative")
-    return mean - kappa * sd
 
 
 def _norm_pdf(x):
@@ -147,10 +137,10 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
     hypothesized rival types.
     """
     if config.rival_forecast == "type-weighted":
-        sigma = _point_sigma(state.demand_posterior, config)
-        m = state.demand_posterior.m
+        posterior = state.demand_posterior
         own_last = _midpoint_action(config)  # the rival's view of us, absent history
-        tables = _closed_form_grid_scores(m, sigma, config, own_last.price,
+        tables = _closed_form_grid_scores(posterior.m, posterior.noise_sd(),
+                                          config, own_last.price,
                                           config.rival_types)
         total = (state.rival_type_belief.probs[:, None] * tables).sum(axis=0)
         k = int(np.argmax(total))
@@ -164,10 +154,6 @@ def _grid_action(config: PolicyConfig, flat_index: int) -> Action:
     n_q = len(config.quantity_grid)
     return Action(quantity=float(config.quantity_grid[flat_index % n_q]),
                   price=float(config.price_grid[flat_index // n_q]))
-
-
-def _point_sigma(hyper: PosteriorHyper, config: PolicyConfig) -> float:
-    return config.fixed_sigma if config.sigma_mode == "fixed" else hyper.noise_sd()
 
 
 def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
@@ -199,13 +185,12 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
     return np.stack(rows)
 
 
-def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
-                     sigma_mode: str, fixed_sigma: float):
+def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator):
     """Common draw set for one decision: coefficients, noise sd, noise z."""
     chol = np.linalg.cholesky(hyper.S)
-    if sigma_mode == "fixed":
-        # known-variance recursion: S is the literal coefficient covariance
-        sig = np.full(n, float(fixed_sigma))
+    if hyper.fixed_sd is not None:
+        # known noise sd: S is the literal coefficient covariance
+        sig = np.full(n, hyper.fixed_sd)
         coef = hyper.m + rng.standard_normal((n, 4)) @ chol.T
     else:
         sig = np.sqrt(hyper.b / rng.gamma(hyper.a, 1.0, size=n))
@@ -214,7 +199,7 @@ def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator,
     return coef, sig, z
 
 
-def static_prior_scores(prior_mean, sigma, config: PolicyConfig,
+def static_prior_scores(prior: PosteriorHyper, config: PolicyConfig,
                         firm_type: FirmType) -> np.ndarray:
     """Frozen-prior expected profit per grid action.
 
@@ -222,34 +207,35 @@ def static_prior_scores(prior_mean, sigma, config: PolicyConfig,
     grid midpoint) so the heuristic's choice is constant within a replication.
     """
     rival_price = _midpoint_action(config).price
-    return _closed_form_grid_scores(np.asarray(prior_mean, dtype=float), sigma,
-                                    config, rival_price, (firm_type,))[0]
+    return _closed_form_grid_scores(prior.m, prior.noise_sd(), config,
+                                    rival_price, (firm_type,))[0]
 
 
 def select_action(state: BeliefState, config: PolicyConfig, policy: str,
-                  rng: np.random.Generator, static_prior_mean=None
+                  rng: np.random.Generator | None,
+                  static_prior: PosteriorHyper | None = None
                   ) -> tuple[Action, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Argmax action for the given policy, with the grid it was chosen from.
 
     The second element is the (means, sds, scores) arrays over the grid,
     price-major. Ties break lexicographically (lower price, then lower
     quantity) via price-major action ordering and first-occurrence argmax.
+    The static-prior policy scores ``static_prior`` and draws nothing, so it
+    takes ``rng`` None.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "classical-static-prior":
-        if static_prior_mean is None:
-            raise ValueError("static-prior policy needs the frozen prior mean")
-        sigma = config.fixed_sigma
-        means = static_prior_scores(static_prior_mean, sigma, config, state.own_type)
+        if static_prior is None:
+            raise ValueError("static-prior policy needs the frozen prior")
+        means = static_prior_scores(static_prior, config, state.own_type)
         sds = np.zeros_like(means)
         kappa = 0.0
     else:
         kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
         rival = forecast_rival_action(state, config)
         coef, sig, z = predictive_draws(state.demand_posterior,
-                                        config.predictive_samples, rng,
-                                        config.sigma_mode, config.fixed_sigma)
+                                        config.predictive_samples, rng)
         own = state.own_type
         means, sds = kernels.profit_moments_grid(
             coef, sig, z, config.price_grid, config.quantity_grid,

@@ -19,7 +19,7 @@ from .learning import (ObservationRecord, PosteriorHyper, TypeBelief,
 from .market import (Action, DemandParams, FirmType, MarketState,
                      covariate_vector, simulate_period)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
-                     _closed_form_grid_scores, _point_sigma, select_action)
+                     _closed_form_grid_scores, select_action)
 
 __all__ = [
     "SimConfig",
@@ -96,10 +96,14 @@ class SimConfig:
         self.firm_type(self.cost_high)
 
     def prior_hyper(self) -> PosteriorHyper:
+        """The firms' prior; ``sigma_mode`` "fixed" pins its noise sd at the
+        prior-implied sqrt(prior_b / (prior_a - 1)), never the true sigma."""
+        fixed_sd = (float(np.sqrt(self.prior_b / (self.prior_a - 1.0)))
+                    if self.sigma_mode == "fixed" else None)
         return PosteriorHyper(
             np.asarray(self.prior_mean, dtype=float),
             np.diag(np.asarray(self.prior_sd, dtype=float) ** 2),
-            self.prior_a, self.prior_b)
+            self.prior_a, self.prior_b, fixed_sd)
 
     def firm_type(self, cost: float) -> FirmType:
         return FirmType(cost, self.holding, self.salvage)
@@ -109,9 +113,7 @@ class SimConfig:
             price_grid=self.price_grid, quantity_grid=self.quantity_grid,
             kappa=self.kappa,
             predictive_samples=self.predictive_samples,
-            salvage_mode=self.salvage_mode, sigma_mode=self.sigma_mode,
-            fixed_sigma=float(np.sqrt(self.prior_b / (self.prior_a - 1.0))),
-            rival_forecast=self.rival_forecast,
+            salvage_mode=self.salvage_mode, rival_forecast=self.rival_forecast,
             rival_types=(self.firm_type(self.cost_low),
                          self.firm_type(self.cost_high)))
 
@@ -180,7 +182,7 @@ def _rival_action_model(pcfg: PolicyConfig, temperature: float,
     last posted price.
     """
     scores = _closed_form_grid_scores(
-        posterior.m, _point_sigma(posterior, pcfg), pcfg, own_last_price,
+        posterior.m, posterior.noise_sd(), pcfg, own_last_price,
         pcfg.rival_types, inventory=rival_inventory)
     logits = scores / temperature
     logits -= logits.max(axis=1, keepdims=True)
@@ -200,7 +202,6 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
     pcfg = config.policy_config()
     prior = config.prior_hyper()
     gibbs = config.learning_mode == "gibbs-every-period"
-    noise_sd = pcfg.fixed_sigma if config.sigma_mode == "fixed" else None
 
     cost_rng = rngmod.stream(seed, pid, rep_index, "costs")
     costs = tuple(
@@ -235,9 +236,11 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
                 demand_posterior=posterior, rival_type_belief=beliefs[i],
                 last_rival_action=last_actions[j],
                 last_rival_stockout=lag_stockout[j])
-            decide_rng = rngmod.stream(seed, pid, rep_index, i, t, "decide")
+            # the static policy draws nothing; streams are keyed, so skip it
+            decide_rng = None if static else rngmod.stream(
+                seed, pid, rep_index, i, t, "decide")
             action, _ = select_action(bstate, pcfg, policy, decide_rng,
-                                      static_prior_mean=prior.m)
+                                      static_prior=prior)
             actions.append(action)
 
         market_rng = rngmod.stream(seed, pid, rep_index, t, "market")
@@ -267,8 +270,7 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
                 update_rng = rngmod.stream(seed, pid, rep_index, i, t, "impute")
                 posterior = online_update(
                     posterior, record, update_rng, mode=config.learning_mode,
-                    prior=prior, history=history,
-                    noise_sd=noise_sd)
+                    prior=prior, history=history)
             for i in (0, 1):
                 j = 1 - i
                 likelihood = _rival_action_model(

@@ -318,12 +318,12 @@ def test_criterion_9b_zero_kappa_equals_risk_neutral():
                           quantity_grid=tuple(float(q)
                                               for q in range(20, 70, 5)),
                           kappa=0.0, predictive_samples=200,
-                          salvage_mode="per-period", sigma_mode="fixed",
-                          fixed_sigma=4.5, rival_forecast="last-action")
+                          salvage_mode="per-period",
+                          rival_forecast="last-action")
     state_rng = rngmod.stream(909, "states")
     for k in range(1000):
         m = PRIOR_MEAN + state_rng.normal(0.0, [5.0, 1.0, 1.0, 2.0])
-        hyper = PosteriorHyper(m, PRIOR_COV.copy(), 3.0, 40.5)
+        hyper = PosteriorHyper(m, PRIOR_COV.copy(), 3.0, 40.5, 4.5)
         belief = TypeBelief(np.array([0.5, 0.5]))
         last = (Action(float(state_rng.choice(config.quantity_grid)),
                        float(state_rng.choice(config.price_grid)))

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output tree contents."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -171,6 +172,9 @@ BAD_VALUES = [
     _bad("equilibrium", {"equilibrium": {"kappa": -1.0}}, "kappa"),
     _bad("equilibrium", {"equilibrium": {"refresh_trajectories": -3}},
          "refresh_trajectories"),
+    _bad("equilibrium", {"equilibrium": {"refresh_trajectories": 2,
+                                         "refresh_horizon": -4}},
+         "refresh_horizon"),
     _bad("simulate", {"simulation": {"quantity_grid": [-5, 10]}},
          "quantity_grid"),
 ]
@@ -214,6 +218,14 @@ def test_report_corrupt_results_file(tmp_path, capsys, corrupt):
     assert run_cli(["report", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and corrupt in err, err
+
+
+@pytest.mark.parametrize("summary", [{}, [], {"policies": [1]}])
+def test_report_summary_without_policies(tmp_path, capsys, summary):
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert run_cli(["report", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "summary.json" in err, err
 
 
 def test_non_integer_env_seed_is_a_config_error(outdir, tmp_path, monkeypatch,
@@ -436,3 +448,54 @@ def test_equilibrium_never_imports_scipy_special(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _tree_sha256(root) -> str:
+    """One sha256 over an output tree: each file's relative path and bytes."""
+    digest = hashlib.sha256()
+    paths = sorted(os.path.relpath(os.path.join(d, f), root)
+                   for d, _, files in os.walk(root) for f in files)
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as fh:
+            digest.update(f"{rel}\0{hashlib.sha256(fh.read()).hexdigest()}\n"
+                          .encode())
+    return digest.hexdigest()
+
+
+# sha256 of `crgame simulate --replications 2 --horizon 10 --seed 13` with
+# SOURCE_DATE_EPOCH=0, per (sigma_mode, learning_mode): a change that moves
+# any byte of the study under either noise convention shows up here.
+# Recorded with CPython 3.11, numpy 2.4 and scipy 1.17 on x86_64; another
+# numpy or platform may round differently and need them recorded again.
+PINNED_TREES = {
+    ("fixed", "gibbs-every-period"):
+        "23f0553dd4bd5c7f3fc7fd5ffad7e092182fd842fc5b7970b9f0ab9d83823319",
+    ("fixed", "single-imputation"):
+        "abb047e1130c8cf64443b78ce78b7574d04e8efed0943d1a85c9d55f9cd73e61",
+    ("learn", "gibbs-every-period"):
+        "43b3c601fa23dd4f0f51dd6f97cfb77b2932edab82d2aa5e6f52ce9f99e36ab0",
+    ("learn", "single-imputation"):
+        "50d38c76527e4a798706043ed30e6425187a894a6597baeee5a8e5ebef3e1e6d",
+}
+
+
+@pytest.mark.parametrize("sigma_mode, learning_mode", sorted(PINNED_TREES))
+def test_simulate_tree_is_pinned_per_noise_and_learning_mode(
+        tmp_path, sigma_mode, learning_mode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulation": {
+        "sigma_mode": sigma_mode, "learning_mode": learning_mode}}))
+    out = tmp_path / "out"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, SOURCE_DATE_EPOCH="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crgame", "simulate", "--config", str(cfg),
+         "--out", str(out), "--replications", "2", "--horizon", "10",
+         "--seed", "13"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the censored update paths run: a learning policy stocks out
+    rows = _read_rows(out / "curves" / "stockout_rate.csv")
+    assert any(float(rate) > 0 for policy, _, rate in rows
+               if policy != "classical-static-prior")
+    assert _tree_sha256(out) == PINNED_TREES[sigma_mode, learning_mode]

@@ -19,8 +19,8 @@ PRIOR_S = np.diag([100.0, 4.0, 4.0, 16.0])
 TRUTH = DemandParams(45.0, -3.6, 1.2, 7.5, 4.5)
 
 
-def make_prior():
-    return PosteriorHyper(PRIOR_M.copy(), PRIOR_S.copy(), 3.0, 40.5)
+def make_prior(fixed_sd=None):
+    return PosteriorHyper(PRIOR_M.copy(), PRIOR_S.copy(), 3.0, 40.5, fixed_sd)
 
 
 def random_design(rng, n):
@@ -61,10 +61,11 @@ def test_covariance_stays_positive_definite():
 
 
 def test_fixed_noise_update_skips_inverse_gamma():
-    hyper = make_prior()
+    hyper = make_prior(4.5)
     x = np.array([1.0, 10.0, 12.0, 0.0])
-    updated = conjugate_update(hyper, x, 25.0, noise_sd=4.5)
+    updated = conjugate_update(hyper, x, 25.0)
     assert updated.a == hyper.a and updated.b == hyper.b
+    assert updated.fixed_sd == 4.5
     # Kalman-style mean update under the literal-covariance convention
     Sx = hyper.S @ x
     denom = 4.5**2 + float(x @ Sx)
@@ -132,12 +133,12 @@ def test_sample_truncated_latent_respects_bounds():
     x = np.array([1.0, 16.0, 16.0, 0.0])
     rng = rngmod.stream(31, "lat")
     for _ in range(100):
-        lo = sample_truncated_latent(hyper, x, 20.0, 4.5, rng, side="lower")
-        hi = sample_truncated_latent(hyper, x, 0.0, 4.5, rng, side="upper")
+        lo = sample_truncated_latent(hyper, x, 20.0, rng, side="lower")
+        hi = sample_truncated_latent(hyper, x, 0.0, rng, side="upper")
         assert lo >= 20.0
         assert hi <= 0.0
     with pytest.raises(ValueError):
-        sample_truncated_latent(hyper, x, 20.0, 4.5, rng, side="sideways")
+        sample_truncated_latent(hyper, x, 20.0, rng, side="sideways")
 
 
 # -------------------------------------------------------------------- gibbs
@@ -180,8 +181,8 @@ def test_gibbs_fixed_noise_matches_known_variance_posterior():
     S0_inv = np.linalg.inv(PRIOR_S)
     Sn = np.linalg.inv(S0_inv + X.T @ X / s2)
     mn = Sn @ (S0_inv @ PRIOR_M + X.T @ y / s2)
-    chain = gibbs_refresh(make_prior(), history, rngmod.stream(47, "chain"),
-                          sweeps=4000, burn_in=200, noise_sd=4.5)
+    chain = gibbs_refresh(make_prior(4.5), history, rngmod.stream(47, "chain"),
+                          sweeps=4000, burn_in=200)
     se = np.sqrt(np.diag(Sn) / 4000)
     np.testing.assert_allclose(chain.m, mn, atol=5 * se.max() + 1e-3)
     np.testing.assert_allclose(chain.S, Sn, atol=0.15 * np.abs(Sn).max())
@@ -218,9 +219,8 @@ def test_gibbs_online_update_ignores_incoming_posterior(noise_sd, floored):
         history.append(ObservationRecord(x, 0.0, 40.0, False, floored=True))
     stale = conjugate_update(make_prior(), history[0].covariate, 80.0)
     got = [online_update(incoming, history[-1], rngmod.stream(83, "dead"),
-                         mode="gibbs-every-period", prior=make_prior(),
-                         history=history, sweeps=60, burn_in=20,
-                         noise_sd=noise_sd)
+                         mode="gibbs-every-period", prior=make_prior(noise_sd),
+                         history=history)
            for incoming in (make_prior(), stale)]
     np.testing.assert_array_equal(got[0].m, got[1].m)
     np.testing.assert_array_equal(got[0].S, got[1].S)
@@ -452,8 +452,8 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
 
     r_lean, r_ref = rngmod.stream(79, "g"), rngmod.stream(79, "g")
     monkeypatch.setattr(learning, "truncated_normal_lower", counted)
-    got = gibbs_refresh(make_prior(), history, r_lean, sweeps=300,
-                        burn_in=100, noise_sd=noise_sd)
+    got = gibbs_refresh(make_prior(noise_sd), history, r_lean, sweeps=300,
+                        burn_in=100)
     monkeypatch.undo()
     want = _reference_gibbs(make_prior(), history, 300, r_ref, 100,
                             noise_sd=noise_sd)
@@ -487,8 +487,8 @@ def test_gibbs_refresh_edge_histories(kind, noise_sd):
     symmetric positive definite. With the noise sd fixed, S is at least the
     complete-data covariance Sn: the latents' spread only adds to it."""
     history = _edge_history(kind)
-    got = gibbs_refresh(make_prior(), history, rngmod.stream(103, kind),
-                        sweeps=75, burn_in=25, noise_sd=noise_sd)
+    got = gibbs_refresh(make_prior(noise_sd), history, rngmod.stream(103, kind),
+                        sweeps=75, burn_in=25)
     want = _reference_gibbs(make_prior(), history, 75,
                             rngmod.stream(103, kind), 25, noise_sd=noise_sd)
     np.testing.assert_allclose(got.m, want.m, rtol=1e-10)
@@ -506,8 +506,8 @@ def test_gibbs_refresh_edge_histories(kind, noise_sd):
 
 def test_gibbs_refresh_needs_two_sweeps():
     with pytest.raises(ValueError, match="sweeps"):
-        gibbs_refresh(make_prior(), crafted_history(),
-                      rngmod.stream(107, "one"), sweeps=1, noise_sd=4.5)
+        gibbs_refresh(make_prior(4.5), crafted_history(),
+                      rngmod.stream(107, "one"), sweeps=1)
 
 
 class _LoggedGenerator:
@@ -534,8 +534,7 @@ def test_gibbs_refresh_draws_one_block_per_refresh(noise_sd):
     N = 100 + 300
     chains = (N,) if noise_sd is None else (N, learning.FIXED_CHAINS)
     rng = _LoggedGenerator(rngmod.stream(89, "block"))
-    gibbs_refresh(make_prior(), history, rng, sweeps=300, burn_in=100,
-                  noise_sd=noise_sd)
+    gibbs_refresh(make_prior(noise_sd), history, rng, sweeps=300, burn_in=100)
     twin = rngmod.stream(89, "block")
     twin.random((*chains, k))
     twin.standard_normal((*chains, p))
@@ -575,12 +574,13 @@ def test_online_update_runs_the_measured_chain(noise_sd):
     history = crafted_history()[:-1]  # without the far-tail record
     k = sum(r.censored or r.floored for r in history)
     rng = _LoggedGenerator(rngmod.stream(109, "chain"))
-    got = online_update(make_prior(), history[-3], rng,
-                        mode="gibbs-every-period", prior=make_prior(),
-                        history=history, noise_sd=noise_sd)
+    got = online_update(make_prior(noise_sd), history[-3], rng,
+                        mode="gibbs-every-period", prior=make_prior(noise_sd),
+                        history=history)
     assert rng.log[0][:2] == ("random", ((burn_in + sweeps, *chains, k),))
-    want = gibbs_refresh(make_prior(), history, rngmod.stream(109, "chain"),
-                         sweeps=sweeps, burn_in=burn_in, noise_sd=noise_sd)
+    want = gibbs_refresh(make_prior(noise_sd), history,
+                         rngmod.stream(109, "chain"), sweeps=sweeps,
+                         burn_in=burn_in)
     np.testing.assert_array_equal(got.m, want.m)
     np.testing.assert_array_equal(got.S, want.S)
 
@@ -619,10 +619,11 @@ def test_gibbs_refresh_monte_carlo_error(noise_sd):
     k = 100
     for name, history in (("crafted", crafted_history()),
                           ("study", study_history())):
-        ref = gibbs_refresh(make_prior(), history, rngmod.stream(83, "ref"),
-                            sweeps=20_000, burn_in=1000, noise_sd=noise_sd)
-        outs = [gibbs_refresh(make_prior(), history,
-                              rngmod.stream(83, "short", i), noise_sd=noise_sd)
+        ref = gibbs_refresh(make_prior(noise_sd), history,
+                            rngmod.stream(83, "ref"), sweeps=20_000,
+                            burn_in=1000)
+        outs = [gibbs_refresh(make_prior(noise_sd), history,
+                              rngmod.stream(83, "short", i))
                 for i in range(k)]
         ms = np.array([o.m for o in outs])
         err = ms - ref.m

@@ -7,7 +7,7 @@ from crgame import kernels, rng as rngmod
 from crgame.learning import PosteriorHyper, TypeBelief
 from crgame.market import Action, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
-                           _closed_form_grid_scores, credible_risk_score,
+                           _closed_form_grid_scores,
                            expected_profit_closed_form,
                            expected_sales_closed_form, expected_sales_floored,
                            forecast_rival_action, predictive_draws,
@@ -22,7 +22,6 @@ QTY_GRID = tuple(float(q) for q in range(20, 70, 5))
 def make_config(**kw):
     base = dict(price_grid=PRICE_GRID, quantity_grid=QTY_GRID, kappa=0.6,
                 predictive_samples=400, salvage_mode="per-period",
-                sigma_mode="fixed", fixed_sigma=4.5,
                 rival_forecast="last-action")
     base.update(kw)
     return PolicyConfig(**base)
@@ -30,7 +29,7 @@ def make_config(**kw):
 
 def make_state(inventory=0.0, last_rival=None):
     hyper = PosteriorHyper(np.array([35.0, -2.0, 0.5, 3.0]),
-                           np.diag([100.0, 4.0, 4.0, 16.0]), 3.0, 40.5)
+                           np.diag([100.0, 4.0, 4.0, 16.0]), 3.0, 40.5, 4.5)
     return BeliefState(inventory=inventory, own_type=LOW,
                        demand_posterior=hyper,
                        rival_type_belief=TypeBelief(np.array([0.5, 0.5])),
@@ -39,9 +38,16 @@ def make_state(inventory=0.0, last_rival=None):
 
 # -------------------------------------------------------------- closed forms
 
-def test_credible_risk_score_arithmetic():
-    assert credible_risk_score(100.0, 40.0, 0.6) == pytest.approx(76.0)
-    assert credible_risk_score(100.0, 40.0, 0.0) == pytest.approx(100.0)
+def test_select_action_scores_are_credible_risk():
+    config = make_config(kappa=0.6)
+    for policy in ("proposed-credible-risk", "bayesian-risk-neutral"):
+        _, (means, sds, scores) = select_action(
+            make_state(), config, policy, rngmod.stream(43, "score"))
+        assert np.all(sds > 0.0)
+        if policy == "proposed-credible-risk":
+            np.testing.assert_array_equal(scores, means - 0.6 * sds)
+        else:
+            np.testing.assert_array_equal(scores, means)
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -80,7 +86,7 @@ def test_expected_profit_closed_form_decomposition():
 def _draws(n=300, seed=3):
     rng = rngmod.stream(seed, "draws")
     hyper = make_state().demand_posterior
-    return predictive_draws(hyper, n, rng, sigma_mode="fixed", fixed_sigma=4.5)
+    return predictive_draws(hyper, n, rng)
 
 
 def test_grid_moments_match_single_candidate():
@@ -226,7 +232,7 @@ def test_argmax_tie_break_lexicographic():
 
 def test_static_policy_ignores_posterior_and_inventory():
     config = make_config()
-    prior_mean = np.array([35.0, -2.0, 0.5, 3.0])
+    prior = make_state().demand_posterior
     actions = set()
     for k in range(20):
         state = make_state(inventory=float(3 * k))
@@ -234,15 +240,15 @@ def test_static_policy_ignores_posterior_and_inventory():
         state.demand_posterior.m[0] += k * 2.0
         action, _ = select_action(state, config, "classical-static-prior",
                                   rngmod.stream(103, "static", k),
-                                  static_prior_mean=prior_mean)
+                                  static_prior=prior)
         actions.add(action)
     assert len(actions) == 1
 
 
 def test_static_scores_are_deterministic():
     config = make_config()
-    s1 = static_prior_scores(np.array([35.0, -2.0, 0.5, 3.0]), 4.5, config, LOW)
-    s2 = static_prior_scores(np.array([35.0, -2.0, 0.5, 3.0]), 4.5, config, LOW)
+    s1 = static_prior_scores(make_state().demand_posterior, config, LOW)
+    s2 = static_prior_scores(make_state().demand_posterior, config, LOW)
     np.testing.assert_array_equal(s1, s2)
     assert s1.shape == (len(PRICE_GRID) * len(QTY_GRID),)
 
@@ -267,8 +273,7 @@ def test_predictive_profit_moments_consistency():
     # the kernel on one candidate, from the draws select_action makes
     coef, sig, z = predictive_draws(state.demand_posterior,
                                     config.predictive_samples,
-                                    rngmod.stream(107, "pm"), config.sigma_mode,
-                                    config.fixed_sigma)
+                                    rngmod.stream(107, "pm"))
     (m,), (s,) = kernels.profit_moments_grid(
         coef, sig, z, (candidate.price,), (candidate.quantity,),
         state.inventory, rival.price, False, LOW.c, LOW.h, LOW.s, True)
@@ -291,5 +296,4 @@ def test_invalid_grid_rejected():
     with pytest.raises(ValueError):
         PolicyConfig(price_grid=(12.0, 8.0), quantity_grid=QTY_GRID, kappa=0.6,
                      predictive_samples=500, salvage_mode="per-period",
-                     sigma_mode="learn", fixed_sigma=4.5,
                      rival_forecast="last-action")

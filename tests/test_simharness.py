@@ -99,7 +99,8 @@ def test_fixed_sigma_filter_uses_the_prior_implied_sd(monkeypatch):
     update = simharness.online_update
 
     def recorded(*args, **kwargs):
-        seen.append(kwargs["noise_sd"])
+        seen.append(args[0].fixed_sd)  # the posterior it updates
+        seen.append(kwargs["prior"].fixed_sd)
         return update(*args, **kwargs)
 
     monkeypatch.setattr(simharness, "online_update", recorded)
@@ -107,6 +108,21 @@ def test_fixed_sigma_filter_uses_the_prior_implied_sd(monkeypatch):
                                                            7.5, 6.0))
     run_replication(cfg, "bayesian-risk-neutral", 0)
     assert seen and set(seen) == {4.5}  # sqrt(prior_b / (prior_a - 1))
+
+
+def test_static_replication_builds_only_costs_and_market_streams(monkeypatch):
+    """The static policy reads no decide or impute stream, so it builds
+    none: one costs stream and one market stream a period."""
+    purposes = []
+    stream = rngmod.stream
+
+    def recorded(*key):
+        purposes.append(key[-1])
+        return stream(*key)
+
+    monkeypatch.setattr(rngmod, "stream", recorded)
+    run_replication(small_config(horizon=5), "classical-static-prior", 1)
+    assert purposes == ["costs"] + ["market"] * 5
 
 
 # ------------------------------------------------------------------ metrics
