@@ -407,6 +407,37 @@ def _read_json(path):
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _table_rows(path, entries, row) -> list:
+    """``row(name, entry)`` for each entry in name order; an entry that lacks
+    a field, or holds one of the wrong kind, is a ValueError naming ``path``."""
+    try:
+        return [row(name, entries[name]) for name in sorted(entries)]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} has an entry with missing or malformed fields: "
+                         f"{exc!r}") from exc
+
+
+def _num(v, nd=4):
+    return "n/a" if v is None else f"{v:.{nd}f}"
+
+
+def _summary_row(name, s):
+    return (name, _num(s["mean_market_profit"], 2), _num(s["sd_market_profit"], 2),
+            _num(s["median_market_profit"], 2), _num(s["mean_final_mse"]),
+            _num(s["sd_final_mse"]), _num(s["mean_firm_profit"][0], 2),
+            _num(s["mean_firm_profit"][1], 2))
+
+
+def _relative_row(name, rel):
+    return name, _num(rel["profit_gain_pct"]), _num(rel["mse_reduction_pct"])
+
+
+def _bootstrap_row(name, b):
+    return (name, _num(b["mean_diff_profit"]), _num(b["profit_ci"][0]),
+            _num(b["profit_ci"][1]), _num(b["mean_diff_mse"]),
+            _num(b["mse_ci"][0]), _num(b["mse_ci"][1]))
+
+
 def cmd_report(args) -> int:
     summary_path = os.path.join(args.results, "summary.json")
     bootstrap_path = os.path.join(args.results, "bootstrap.json")
@@ -421,48 +452,29 @@ def cmd_report(args) -> int:
             raise ValueError(f"{summary_path} holds no policies object")
         bootstrap = _read_json(bootstrap_path) \
             if os.path.isfile(bootstrap_path) else {}
+        main_rows = _table_rows(summary_path, summary["policies"], _summary_row)
+        relative_rows = _table_rows(summary_path,
+                                    summary.get("relative_improvement", {}),
+                                    _relative_row)
+        bootstrap_rows = _table_rows(bootstrap_path, bootstrap, _bootstrap_row)
     except (OSError, ValueError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    def num(v, nd=4):
-        return "n/a" if v is None else f"{v:.{nd}f}"
-
     parts = ["# Simulation report", "", "## Main results", ""]
-    rows = []
-    for name in sorted(summary["policies"]):
-        s = summary["policies"][name]
-        rows.append((name, num(s["mean_market_profit"], 2),
-                     num(s["sd_market_profit"], 2),
-                     num(s["median_market_profit"], 2),
-                     num(s["mean_final_mse"]), num(s["sd_final_mse"]),
-                     num(s["mean_firm_profit"][0], 2),
-                     num(s["mean_firm_profit"][1], 2)))
     parts.append(_md_table(
         ["Policy", "Mean profit", "SD profit", "Median profit",
          "Mean final MSE", "SD final MSE", "Mean profit 1", "Mean profit 2"],
-        rows))
-
-    relative = summary.get("relative_improvement", {})
-    if relative:
+        main_rows))
+    if relative_rows:
         parts += ["", "## Relative improvement of the proposed policy", ""]
-        rows = [(name, num(rel["profit_gain_pct"]), num(rel["mse_reduction_pct"]))
-                for name, rel in sorted(relative.items())]
         parts.append(_md_table(
-            ["Against", "Profit gain (%)", "MSE reduction (%)"], rows))
-
-    if bootstrap:
+            ["Against", "Profit gain (%)", "MSE reduction (%)"], relative_rows))
+    if bootstrap_rows:
         parts += ["", "## Bootstrap comparisons (proposed minus baseline)", ""]
-        rows = []
-        for name in sorted(bootstrap):
-            b = bootstrap[name]
-            rows.append((name, num(b["mean_diff_profit"]),
-                         num(b["profit_ci"][0]), num(b["profit_ci"][1]),
-                         num(b["mean_diff_mse"]),
-                         num(b["mse_ci"][0]), num(b["mse_ci"][1])))
         parts.append(_md_table(
             ["Baseline", "Mean diff profit", "CI low", "CI high",
-             "Mean diff MSE", "CI low", "CI high"], rows))
+             "Mean diff MSE", "CI low", "CI high"], bootstrap_rows))
 
     text = "\n".join(parts) + "\n"
     sys.stdout.write(text)

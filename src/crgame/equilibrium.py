@@ -175,8 +175,8 @@ def _hermite_rule(k: int):
 
 
 def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
-                   model: EquilibriumModel, firm_type: FirmType,
-                   rival_policies: tuple) -> DiscretizedDynamics:
+                   model: EquilibriumModel, firm_type: FirmType | tuple,
+                   rival_policies: tuple) -> DiscretizedDynamics | tuple:
     """Precompute rewards and projected transitions for one firm.
 
     ``rival_policies`` holds one GridPolicy per hypothesized rival type
@@ -185,7 +185,12 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     mixture; the type-belief transition follows Bayes' rule against the
     rival's deterministic per-type policies. One pass per price: sales,
     leftover stock and profit broadcast over the quantity grid.
+
+    Given a tuple of own types, returns one DiscretizedDynamics per type.
+    Transitions and weights depend only on the rival, so the types share
+    them; each type's reward is computed exactly as a single-type build.
     """
+    own_types = firm_type if isinstance(firm_type, tuple) else (firm_type,)
     prices = np.asarray(config.price_grid, dtype=float)
     quants = np.asarray(config.quantity_grid, dtype=float)
     n_q = quants.size
@@ -206,10 +211,10 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     i_mu = _project(grid.mu_axis, mu_next)[:, None, :, None]           # (N, 1, B, 1)
 
     stock = (inv[:, None] + quants[None, :])[:, :, None, None]         # (N, Q, 1, 1)
-    cost = (firm_type.c * quants)[None, :, None, None]
-    net_hold = firm_type.h - (firm_type.s if model.salvage_on else 0.0)
+    costs = [(ft.c * quants)[None, :, None, None] for ft in own_types]
+    net_holds = [ft.h - (ft.s if model.salvage_on else 0.0) for ft in own_types]
 
-    reward = np.empty((n_nodes, prices.size, n_q))
+    rewards = [np.empty((n_nodes, prices.size, n_q)) for _ in own_types]
     next_idx = np.empty((n_nodes, prices.size, n_q, 2, zq.size), dtype=np.int64)
     for ip, p in enumerate(prices):
         # predictive demand; the lagged rival stockout is frozen at 0, and
@@ -226,16 +231,18 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
 
         sales = np.clip(demand[:, None], 0.0, stock)                   # (N, Q, B, K)
         left = stock - sales
-        prof = p * sales - cost - net_hold * left
-        mean = (w_joint * prof).sum(axis=(2, 3))
-        var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
-        reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
+        for reward, cost, net_hold in zip(rewards, costs, net_holds):
+            prof = p * sales - cost - net_hold * left
+            mean = (w_joint * prof).sum(axis=(2, 3))
+            var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
+            reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
         next_idx[:, ip] = ((_project(grid.inv_axis, left) * grid.m0_axis.size
                             + i_m0) * grid.mu_axis.size + i_mu)
 
-    return DiscretizedDynamics(reward.reshape(n_nodes, -1),
-                               next_idx.reshape(n_nodes, -1, 2, zq.size),
-                               weights)
+    next_idx = next_idx.reshape(n_nodes, -1, 2, zq.size)
+    dyns = tuple(DiscretizedDynamics(reward.reshape(n_nodes, -1), next_idx, weights)
+                 for reward in rewards)
+    return dyns if isinstance(firm_type, tuple) else dyns[0]
 
 
 def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
@@ -335,6 +342,11 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     Policy cycling beyond the sweep cap returns ``converged=False``.
     The refresh draws its trajectories from ``rng``, so ``refresh_trajectories
     > 0`` without one raises ``ValueError``.
+
+    A best response depends only on the rival's policy pair and the frozen
+    model, and every one starts from zeros, so each distinct pair is solved
+    once per model: a repeated pair reuses the earlier result, which is what
+    a fresh solve would return.
     """
     if config.refresh_trajectories > 0 and rng is None:
         raise ValueError("refresh_trajectories > 0 needs an rng to draw "
@@ -346,16 +358,21 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
                 for _ in (0, 1)]
     values = [[None, None], [None, None]]
     diag = IterationDiagnostics()
+    solved = {}  # rival pair's action bytes -> per-own-type (values, policy, diag)
 
     for sweep in range(config.sweep_cap):
         if sweep > 0 and config.refresh_trajectories > 0:
             model = _refresh_hyper(grid, config, model, policies, rng)
+            solved.clear()
         changes = 0
         sup_delta = 0.0
         for firm in (0, 1):
-            for k, own_type in enumerate(model.rival_types):
-                values[firm][k], new_pol, vi_diag = value_iterate(
-                    grid, tuple(policies[1 - firm]), config, model, own_type)
+            rivals = tuple(policies[1 - firm])
+            key = tuple(pol.actions.tobytes() for pol in rivals)
+            if key not in solved:
+                solved[key] = _best_responses(grid, config, model, rivals)
+            for k, (vals, new_pol, vi_diag) in enumerate(solved[key]):
+                values[firm][k] = vals
                 changes += int(np.count_nonzero(
                     new_pol.actions != policies[firm][k].actions))
                 sup_delta = max(sup_delta, vi_diag.sup_norm_deltas[-1])
@@ -367,6 +384,16 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
             break
     return (tuple(map(tuple, policies)), tuple(map(tuple, values)), model,
             diag)
+
+
+def _best_responses(grid: BeliefGrid, config: EquilibriumConfig,
+                    model: EquilibriumModel, rivals: tuple) -> tuple:
+    """Each own type's best response to one rival policy pair, from one
+    build; the build is freed on return, so at most one is alive at a time."""
+    own_types = tuple(model.rival_types)
+    dyns = build_dynamics(grid, config, model, own_types, rivals)
+    return tuple(value_iterate(grid, rivals, config, model, own_type, dyn=dyn)
+                 for own_type, dyn in zip(own_types, dyns))
 
 
 def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,

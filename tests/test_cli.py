@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, output tree contents."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -220,6 +221,22 @@ def test_report_corrupt_results_file(tmp_path, capsys, corrupt):
     assert err.startswith("i/o error:") and corrupt in err, err
 
 
+@pytest.mark.parametrize("corrupt, content", [
+    ("summary.json", {"policies": {"x": {}}}),
+    ("summary.json", {"policies": {}, "relative_improvement": {"x": {}}}),
+    ("bootstrap.json", {"x": {}}),
+    ("bootstrap.json", {"x": {"mean_diff_profit": 1.0, "profit_ci": [],
+                              "mean_diff_mse": 0.5, "mse_ci": [0.0, 1.0]}}),
+])
+def test_report_entry_without_its_fields(tmp_path, capsys, corrupt, content):
+    (tmp_path / "summary.json").write_text(json.dumps({"policies": {}}))
+    (tmp_path / corrupt).write_text(json.dumps(content))
+    assert run_cli(["report", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and corrupt in err, err
+    assert not (tmp_path / "report.md").exists()
+
+
 @pytest.mark.parametrize("summary", [{}, [], {"policies": [1]}])
 def test_report_summary_without_policies(tmp_path, capsys, summary):
     (tmp_path / "summary.json").write_text(json.dumps(summary))
@@ -397,32 +414,88 @@ def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
     assert seen["check"][1] is model
 
 
-def test_converged_solve_runs_four_best_responses_a_round(tmp_path,
-                                                          monkeypatch):
-    counts = {"value_iterate": 0, "build_dynamics": 0}
+def _record_solver_calls(monkeypatch):
+    """Wrap ``equilibrium.build_dynamics`` and ``value_iterate``; return the
+    list their calls append ``(name, model, rival pair's action bytes)`` to."""
+    calls = []
 
-    def counted(name):
+    def recorded(name):
         fn = getattr(equilibrium, name)
+        signature = inspect.signature(fn)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((name, bound["model"],
+                          tuple(pol.actions.tobytes()
+                                for pol in bound["rival_policies"])))
             return fn(*args, **kwargs)
         return wrapper
+
+    for name in ("build_dynamics", "value_iterate"):
+        monkeypatch.setattr(equilibrium, name, recorded(name))
+    return calls
+
+
+def test_converged_solve_builds_and_solves_each_distinct_rival_pair_once(
+        tmp_path, monkeypatch):
+    calls = _record_solver_calls(monkeypatch)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the CLI solves no best response of its own")
 
-    for name in counts:
-        monkeypatch.setattr(equilibrium, name, counted(name))
     monkeypatch.setattr(cli, "value_iterate", forbidden)
     out = tmp_path / "eq"
     assert run_cli(["equilibrium", "--out", str(out)]) == 0
     with open(out / "diagnostics.json") as fh:
         rounds = len(json.load(fh)["policy_change_counts"])
-    # one best response per (firm, own type) a round; one more
-    # build_dynamics for the contraction check
-    assert counts == {"value_iterate": 4 * rounds,
-                      "build_dynamics": 4 * rounds + 1}
+    builds = [key for name, _, key in calls if name == "build_dynamics"]
+    solves = [key for name, _, key in calls if name == "value_iterate"]
+    # one build per distinct rival pair, serving both own types, then one
+    # for the contraction check; a pair faced again is not solved again
+    pairs = builds[:-1]
+    assert len(set(pairs)) == len(pairs) < 2 * rounds
+    assert solves == [key for key in pairs for _ in (0, 1)]
+    assert (len(builds), len(solves)) == (3, 4)
+
+
+def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
+                                                               monkeypatch):
+    calls = _record_solver_calls(monkeypatch)
+    refreshes = []
+    refresh = equilibrium._refresh_hyper
+
+    def recorded_refresh(grid, config, model, policies, rng):
+        new_model = refresh(grid, config, model, policies, rng)
+        refreshes.append(([[pol.actions.tobytes() for pol in pols]
+                           for pols in policies], new_model))
+        return new_model
+
+    monkeypatch.setattr(equilibrium, "_refresh_hyper", recorded_refresh)
+    seen, _ = _traced_equilibrium(
+        tmp_path, monkeypatch, {"equilibrium": {"refresh_trajectories": 5}})
+    config, prior = seen["args"]
+    policies, _, model, diag = seen["result"]
+    rounds = len(diag.policy_change_counts)
+    assert diag.converged and len(refreshes) == rounds - 1 >= 2
+    # the policies at the start of each round, and the model it solves under
+    n_q = len(config.quantity_grid)
+    mid = (len(config.price_grid) - 1) // 2 * n_q + (n_q - 1) // 2
+    start = np.full(len(policies[0][0].actions), mid, dtype=np.int64).tobytes()
+    states = ([[[start] * 2] * 2] + [state for state, _ in refreshes]
+              + [[[pol.actions.tobytes() for pol in pols] for pols in policies]])
+    models = [prior] + [m for _, m in refreshes]
+    assert models[-1] is model
+    # round r: firm 1 faces firm 2's policies from before it, firm 2 faces
+    # firm 1's new ones; no result carries over from an earlier model
+    want = []
+    for r, round_model in enumerate(models):
+        faced = [tuple(states[r][1]), tuple(states[r + 1][0])]
+        want += [(id(round_model), key) for key in dict.fromkeys(faced)]
+    # ``calls`` holds every model it names, so their ids stay distinct
+    got = [(id(m), key) for name, m, key in calls if name == "build_dynamics"]
+    assert got[:-1] == want
+    solves = [(id(m), key) for name, m, key in calls if name == "value_iterate"]
+    assert solves == [pair for pair in want for _ in (0, 1)]
 
 
 def test_python_m_crgame_help():

@@ -1,5 +1,7 @@
 """Belief-grid solver: Bellman operator, contraction, fixed points, best response."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,27 @@ def test_build_dynamics_weights_are_a_distribution_per_node():
     assert dyn.weights.shape == (grid.n_nodes, 2, config.quad_points)
     assert np.all(dyn.weights >= 0.0)
     np.testing.assert_allclose(dyn.weights.sum(axis=(1, 2)), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("salvage_on", [True, False])
+def test_two_type_build_equals_single_type_builds(salvage_on):
+    config = fine_config()
+    model = dataclasses.replace(make_model(), salvage_on=salvage_on)
+    grid = build_belief_grid(config)
+    rng = rngmod.stream(91, "rivals")
+    n_actions = len(config.price_grid) * len(config.quantity_grid)
+    rivals = tuple(GridPolicy(rng.integers(0, n_actions, size=grid.n_nodes))
+                   for _ in (0, 1))
+    both = build_dynamics(grid, config, model, (LOW, HIGH), rivals)
+    assert len(both) == 2
+    for own_type, dyn in zip((LOW, HIGH), both):
+        single = build_dynamics(grid, config, model, own_type, rivals)
+        np.testing.assert_array_equal(dyn.reward, single.reward)
+        np.testing.assert_array_equal(dyn.next_idx, single.next_idx)
+        np.testing.assert_array_equal(dyn.weights, single.weights)
+    # the types share one transition table and differ in their rewards
+    assert both[0].next_idx is both[1].next_idx
+    assert not np.array_equal(both[0].reward, both[1].reward)
 
 
 def test_contraction_check_on_model_dynamics():

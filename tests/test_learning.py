@@ -49,6 +49,22 @@ def test_sequential_matches_batch_any_order():
         assert hyper.b == pytest.approx(batch.b, rel=1e-8)
 
 
+@pytest.mark.parametrize("fixed_sd", [None, 4.5])
+def test_batch_posterior_follows_the_prior_noise_convention(fixed_sd):
+    X, y = random_design(rngmod.stream(12, "design"), 25)
+    batch = batch_conjugate_posterior(make_prior(fixed_sd), X, y)
+    hyper = make_prior(fixed_sd)
+    for i in range(len(y)):
+        hyper = conjugate_update(hyper, X[i], y[i])
+    assert batch.fixed_sd == fixed_sd
+    np.testing.assert_allclose(batch.m, hyper.m, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(batch.S, hyper.S, rtol=1e-10, atol=1e-10)
+    assert batch.a == pytest.approx(hyper.a, rel=1e-10)
+    assert batch.b == pytest.approx(hyper.b, rel=1e-10)
+    if fixed_sd is not None:
+        assert (batch.a, batch.b) == (3.0, 40.5)
+
+
 def test_covariance_stays_positive_definite():
     rng = rngmod.stream(13, "pd")
     hyper = make_prior()
