@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, rng as rngmod
 from .learning import TypeBelief
-from .market import SALVAGE_MODES, DemandParams
+from .market import SALVAGE_MODES, DemandParams, salvage_credited
 from .equilibrium import (EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
                           contraction_check, equilibrium_iteration)
@@ -160,9 +160,11 @@ def build_sim_config(cfg: dict) -> SimConfig:
 def _requested_policies(cfg: dict) -> tuple:
     policies = cfg["simulation"]["policies"]
     if not (isinstance(policies, list) and policies
-            and all(p in POLICIES for p in policies)):
+            and all(p in POLICIES for p in policies)
+            and len(set(policies)) == len(policies)):
         raise ConfigError("simulation.policies must be a nonempty list of "
-                          f"{', '.join(POLICIES)}; got {policies!r}")
+                          f"distinct names from {', '.join(POLICIES)}; "
+                          f"got {policies!r}")
     return tuple(policies)
 
 
@@ -320,12 +322,12 @@ def build_eq_inputs(cfg: dict):
                        quantity_grid=sim.quantity_grid)
     low = sim.firm_type(sim.cost_low)
     high = sim.firm_type(sim.cost_high)
-    # the solver reads the prior as normal-inverse-gamma (S a scale matrix,
-    # sd sqrt(b / (a - 1))) whatever the study's sigma_mode
+    # build_dynamics follows the prior's noise convention; the solve is held
+    # on normal-inverse-gamma (S a scale matrix) whatever the study's sigma_mode
     model = EquilibriumModel(
         firm_types=(low, high), rival_types=(low, high),
         hyper=dataclasses.replace(sim.prior_hyper(), fixed_sd=None),
-        salvage_on=sim.salvage_mode == "per-period")
+        salvage_on=salvage_credited(sim.salvage_mode))
     return eq_config, model, sim
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learning import PosteriorHyper, conjugate_update
-from .market import FirmType
+from .market import FirmType, period_profit
 
 __all__ = [
     "EquilibriumConfig",
@@ -196,7 +196,7 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     n_q = quants.size
     zq, wq = _hermite_rule(config.quad_points)
     n_nodes = grid.n_nodes
-    sigma, coef, S = model.hyper.noise_sd(), model.hyper.m, model.hyper.S
+    hyper, coef, S = model.hyper, model.hyper.m, model.hyper.S
 
     inv, m0, mu_hi = grid.nodes.T
     type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)                 # (N, B)
@@ -211,8 +211,6 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     i_mu = _project(grid.mu_axis, mu_next)[:, None, :, None]           # (N, 1, B, 1)
 
     stock = (inv[:, None] + quants[None, :])[:, :, None, None]         # (N, Q, 1, 1)
-    costs = [(ft.c * quants)[None, :, None, None] for ft in own_types]
-    net_holds = [ft.h - (ft.s if model.salvage_on else 0.0) for ft in own_types]
 
     rewards = [np.empty((n_nodes, prices.size, n_q)) for _ in own_types]
     next_idx = np.empty((n_nodes, prices.size, n_q, 2, zq.size), dtype=np.int64)
@@ -223,16 +221,17 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
         x_cov = np.stack([np.ones_like(rp), np.full_like(rp, p), rp,
                           np.zeros_like(rp)], axis=2)                  # (N, B, 4)
         quad_form = np.einsum("nbi,ij,nbj->nb", x_cov, S, x_cov)
-        sd_pred = sigma * np.sqrt(1.0 + quad_form)
+        sd_pred = hyper.predictive_sd(quad_form)
         demand = x_mean[:, :, None] + sd_pred[:, :, None] * zq         # (N, B, K)
-        gains = (x_cov @ S)[:, :, 0] / (1.0 + quad_form)
+        gains = (x_cov @ S)[:, :, 0] / hyper.update_denom(quad_form)
         m0_next = m0[:, None, None] + gains[:, :, None] * (demand - x_mean[:, :, None])
         i_m0 = _project(grid.m0_axis, m0_next)[:, None]                # (N, 1, B, K)
 
         sales = np.clip(demand[:, None], 0.0, stock)                   # (N, Q, B, K)
         left = stock - sales
-        for reward, cost, net_hold in zip(rewards, costs, net_holds):
-            prof = p * sales - cost - net_hold * left
+        for reward, own_type in zip(rewards, own_types):
+            prof = period_profit(p, sales, quants[:, None, None], left,
+                                 own_type, model.salvage_on)
             mean = (w_joint * prof).sum(axis=(2, 3))
             var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
             reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import market
+
 __all__ = ["profit_moments_grid"]
 
 # Kept because perfbench/child.py records it in every result; numba is not used.
@@ -25,13 +27,13 @@ def backend() -> str:
 
 
 def profit_moments_grid(coef, sigma, z, prices, quantities, inventory,
-                        rival_price, rival_stockout, cost, holding, salvage,
-                        salvage_on):
+                        rival_price, rival_stockout, firm_type, salvage_on):
     """Sample mean and sd of one-period profit for every grid action.
 
     coef (n, 4), sigma (n,), z (n,) are a shared draw set (coefficients,
     noise sd, standard-normal noise); the same draws are reused for every
-    action so scores are directly comparable. Returns (means, sds), each of
+    action so scores are directly comparable. Profit is
+    ``market.period_profit`` for ``firm_type``. Returns (means, sds), each of
     length len(prices) * len(quantities), price-major.
     """
     coef = np.ascontiguousarray(coef, dtype=np.float64)
@@ -50,10 +52,9 @@ def profit_moments_grid(coef, sigma, z, prices, quantities, inventory,
     sales = np.minimum(np.maximum(demand, 0.0)[:, None, :],
                        stock[None, :, None])                      # (P, Q, n)
     left = stock[None, :, None] - sales
-    net_hold = float(holding) - (float(salvage) if salvage_on else 0.0)
-    profit = (prices[:, None, None] * sales
-              - float(cost) * quantities[None, :, None]
-              - net_hold * left)
+    profit = market.period_profit(prices[:, None, None], sales,
+                                  quantities[None, :, None], left, firm_type,
+                                  salvage_on)
     # numpy's own mean and ddof=1 std sequence, sharing one sum over draws
     n = profit.shape[2]
     means = np.add.reduce(profit, axis=2, keepdims=True) / n

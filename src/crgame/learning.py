@@ -122,6 +122,17 @@ class PosteriorHyper:
             return self.fixed_sd
         return float(np.sqrt(self.noise_variance_mean()))
 
+    def update_denom(self, quad):
+        """Rank-one update denominator at a covariate with x'Sx = ``quad``:
+        1 + quad with the noise sd learned, sd^2 + quad with it known."""
+        return 1.0 + quad if self.fixed_sd is None else self.fixed_sd**2 + quad
+
+    def predictive_sd(self, quad):
+        """Predictive demand sd at x'Sx = ``quad``, at the point noise sd:
+        sd * sqrt(1 + quad) learned, sqrt(sd^2 + quad) known."""
+        root = np.sqrt(self.update_denom(quad))
+        return root if self.fixed_sd is not None else self.noise_sd() * root
+
 
 @dataclass
 class TypeBelief:
@@ -162,13 +173,10 @@ def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray,
     y = float(demand)
     Sx = hyper.S @ x
     resid = y - float(x @ hyper.m)
+    denom = hyper.update_denom(float(x @ Sx))
+    a, b = hyper.a, hyper.b
     if hyper.fixed_sd is None:
-        denom = 1.0 + float(x @ Sx)
-        a = hyper.a + 0.5
-        b = hyper.b + 0.5 * resid * resid / denom
-    else:
-        denom = hyper.fixed_sd**2 + float(x @ Sx)
-        a, b = hyper.a, hyper.b
+        a, b = a + 0.5, b + 0.5 * resid * resid / denom
     m = hyper.m + Sx * (resid / denom)
     S = hyper.S - np.outer(Sx, Sx) / denom
     return PosteriorHyper(m, S, a, b, hyper.fixed_sd)
@@ -218,16 +226,14 @@ def truncated_normal_lower(mean, sd, lower, rng: np.random.Generator):
                                           np.atleast_1d(lower))
     out = np.empty(mean.shape)
 
-    no_trunc = np.isneginf(lower)
-    alpha = np.where(no_trunc, -np.inf, (lower - mean) / sd)
-    body = ~no_trunc & (alpha <= _TAIL_CUT)
-    tail = ~no_trunc & (alpha > _TAIL_CUT)
+    # lower = -inf gives alpha = -inf on the body, where ndtr(+inf) = 1 makes
+    # the inverse CDF an untruncated normal draw
+    alpha = (lower - mean) / sd
+    tail = alpha > _TAIL_CUT
+    body = ~tail
 
     # fixed draw order: one uniform per element, extra draws only for tail cells
     u = 1.0 - rng.random(mean.shape)  # in (0, 1]
-    if np.any(no_trunc):
-        z = ndtri(u[no_trunc])
-        out[no_trunc] = mean[no_trunc] + sd[no_trunc] * z
     if np.any(body):
         q = ndtr(-alpha[body])  # upper-tail mass at the cut
         z = -ndtri(u[body] * q)
@@ -241,7 +247,7 @@ def truncated_normal_lower(mean, sd, lower, rng: np.random.Generator):
             if rng.random() <= np.exp(-0.5 * (z - lam) ** 2):
                 break
         out[i] = mean[i] + sd[i] * z
-    out = np.maximum(out, np.where(no_trunc, -np.inf, lower))
+    out = np.maximum(out, lower)
     return float(out[0]) if scalar else out
 
 
@@ -264,12 +270,7 @@ def sample_truncated_latent(hyper: PosteriorHyper, covariate: np.ndarray,
     """
     x = np.asarray(covariate, dtype=float)
     mean = float(x @ hyper.m)
-    quad = float(x @ hyper.S @ x)
-    sigma = hyper.noise_sd()
-    if hyper.fixed_sd is None:
-        sd = sigma * float(np.sqrt(1.0 + quad))
-    else:  # S is the coefficient covariance itself
-        sd = float(np.sqrt(sigma**2 + quad))
+    sd = hyper.predictive_sd(float(x @ hyper.S @ x))
     if side == "lower":
         return truncated_normal_lower(mean, sd, bound, rng)
     if side == "upper":

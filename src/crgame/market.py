@@ -8,7 +8,7 @@ firms' demand realizations within a period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "latent_demand",
     "censor_sales",
     "step_inventory",
+    "salvage_credited",
+    "period_profit",
     "one_period_profit",
     "covariate_vector",
     "simulate_period",
@@ -78,14 +80,10 @@ class Action:
 class MarketState:
     """Public per-period market state. Stockout flags are lagged indicators."""
 
-    period: int = 1
     inventory: tuple[float, float] = (0.0, 0.0)
-    last_prices: tuple[float, float] = (0.0, 0.0)
     last_stockout: tuple[bool, bool] = (False, False)
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period starts at 1")
         if min(self.inventory) < 0:
             raise ValueError("inventory must be nonnegative")
 
@@ -121,23 +119,32 @@ def step_inventory(stock: float, sales: float) -> float:
     return stock - sales
 
 
+def salvage_credited(salvage_mode: str, terminal: bool = False) -> bool:
+    """Whether this period's leftover stock earns its salvage value: every
+    period in per-period mode, only at the horizon end in terminal mode."""
+    if salvage_mode not in SALVAGE_MODES:
+        raise ValueError(f"unknown salvage mode {salvage_mode!r}")
+    return salvage_mode == "per-period" or terminal
+
+
+def period_profit(price, sales, quantity, left, firm_type: FirmType,
+                  salvage_on: bool):
+    """``price * sales - c * quantity - net_hold * left``, broadcast over the
+    arguments; ``net_hold`` is ``h - s`` when salvage is credited, else ``h``.
+
+    The one profit rule: the market step, the closed forms, the grid kernel
+    and the solver's rewards all call it.
+    """
+    net_hold = firm_type.h - (firm_type.s if salvage_on else 0.0)
+    return price * sales - firm_type.c * quantity - net_hold * left
+
+
 def one_period_profit(action: Action, sales: float, next_inventory: float,
                       firm_type: FirmType, terminal: bool = False,
                       salvage_mode: str = "per-period") -> float:
-    """Revenue minus procurement and holding, plus salvage credit.
-
-    Salvage applies every period in per-period mode and only at the horizon
-    end in terminal mode.
-    """
-    if salvage_mode not in SALVAGE_MODES:
-        raise ValueError(f"unknown salvage mode {salvage_mode!r}")
-    salvage_on = salvage_mode == "per-period" or terminal
-    profit = (action.price * sales
-              - firm_type.c * action.quantity
-              - firm_type.h * next_inventory)
-    if salvage_on:
-        profit += firm_type.s * next_inventory
-    return profit
+    """One firm's realized profit for the period."""
+    return period_profit(action.price, sales, action.quantity, next_inventory,
+                         firm_type, salvage_credited(salvage_mode, terminal))
 
 
 def covariate_vector(own_price: float, rival_price: float,
@@ -167,11 +174,6 @@ def simulate_period(state: MarketState, actions: tuple[Action, Action],
         outcomes.append(PeriodOutcome(demand, sales, out, profit, left))
         new_inventory.append(left)
         new_stockout.append(out)
-    next_state = replace(
-        state,
-        period=state.period + 1,
-        inventory=(new_inventory[0], new_inventory[1]),
-        last_prices=(actions[0].price, actions[1].price),
-        last_stockout=(new_stockout[0], new_stockout[1]),
-    )
+    next_state = MarketState(inventory=(new_inventory[0], new_inventory[1]),
+                             last_stockout=(new_stockout[0], new_stockout[1]))
     return (outcomes[0], outcomes[1]), next_state

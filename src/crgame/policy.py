@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .learning import PosteriorHyper, TypeBelief
-from .market import SALVAGE_MODES, Action, FirmType
+from .market import Action, FirmType, period_profit, salvage_credited
 
 __all__ = [
     "POLICIES",
@@ -75,8 +75,7 @@ class PolicyConfig:
                 raise ValueError("action grids must be strictly increasing")
         if self.quantity_grid[0] < 0:
             raise ValueError("order quantities in quantity_grid must be nonnegative")
-        if self.salvage_mode not in SALVAGE_MODES:
-            raise ValueError(f"unknown salvage mode {self.salvage_mode!r}")
+        salvage_credited(self.salvage_mode)  # raises on an unknown mode
         if self.rival_forecast not in RIVAL_FORECAST_RULES:
             raise ValueError(f"unknown rival forecast rule {self.rival_forecast!r}")
         if self.rival_forecast == "type-weighted" and len(self.rival_types) != 2:
@@ -114,11 +113,8 @@ def expected_profit_closed_form(demand_mean, sigma, quantity, price,
     """Deterministic expected one-period profit under Gaussian demand."""
     stock = inventory + quantity
     exp_sales = expected_sales_floored(demand_mean, sigma, stock)
-    exp_left = stock - exp_sales
-    profit = price * exp_sales - firm_type.c * quantity - firm_type.h * exp_left
-    if salvage_on:
-        profit += firm_type.s * exp_left
-    return float(profit)
+    return float(period_profit(price, exp_sales, quantity, stock - exp_sales,
+                               firm_type, salvage_on))
 
 
 def _midpoint_action(config: PolicyConfig) -> Action:
@@ -169,20 +165,15 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
     """
     prices = np.asarray(config.price_grid, dtype=float)[:, None]      # (P, 1)
     quantities = np.asarray(config.quantity_grid, dtype=float)[None, :]  # (1, Q)
-    salvage_on = config.salvage_mode == "per-period"
+    salvage_on = salvage_credited(config.salvage_mode)
     mu = (coef_mean[0] + coef_mean[1] * prices + coef_mean[2] * rival_price
           + coef_mean[3] * (1.0 if rival_stockout else 0.0))
     stock = inventory + quantities
     exp_sales = expected_sales_floored(mu, sigma, stock)              # (P, Q)
     exp_left = stock - exp_sales
-    rows = []
-    for firm_type in firm_types:
-        profit = (prices * exp_sales - firm_type.c * quantities
-                  - firm_type.h * exp_left)
-        if salvage_on:
-            profit += firm_type.s * exp_left
-        rows.append(profit.reshape(-1))
-    return np.stack(rows)
+    return np.stack([period_profit(prices, exp_sales, quantities, exp_left,
+                                   firm_type, salvage_on).reshape(-1)
+                     for firm_type in firm_types])
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator):
@@ -236,10 +227,9 @@ def select_action(state: BeliefState, config: PolicyConfig, policy: str,
         rival = forecast_rival_action(state, config)
         coef, sig, z = predictive_draws(state.demand_posterior,
                                         config.predictive_samples, rng)
-        own = state.own_type
         means, sds = kernels.profit_moments_grid(
             coef, sig, z, config.price_grid, config.quantity_grid,
             state.inventory, rival.price, state.last_rival_stockout,
-            own.c, own.h, own.s, config.salvage_mode == "per-period")
+            state.own_type, salvage_credited(config.salvage_mode))
     scores = means - kappa * sds
     return _grid_action(config, int(np.argmax(scores))), (means, sds, scores)

@@ -417,11 +417,12 @@ def dominance_curve(records_a: list[ReplicationRecord],
 def relative_improvement(proposed_profit: float, baseline_profit: float,
                          proposed_mse: float, baseline_mse: float) -> dict:
     """Profit gain % and MSE reduction % of proposed over one baseline."""
-    if baseline_profit == 0.0:
-        gain = None  # undefined; flagged for the caller
-    else:
-        gain = 100.0 * (proposed_profit - baseline_profit) / abs(baseline_profit)
-    reduction = 100.0 * (baseline_mse - proposed_mse) / baseline_mse
+    # None, flagged for the caller, against a zero baseline: a zero profit,
+    # or a baseline at the true coefficients
+    gain = (None if baseline_profit == 0.0 else
+            100.0 * (proposed_profit - baseline_profit) / abs(baseline_profit))
+    reduction = (None if baseline_mse == 0.0 else
+                 100.0 * (baseline_mse - proposed_mse) / baseline_mse)
     return {"profit_gain_pct": gain, "mse_reduction_pct": reduction}
 
 

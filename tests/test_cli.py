@@ -160,6 +160,9 @@ BAD_VALUES = [
     _bad("simulate", {"simulation": {"true_params": dict(TRUE_PARAMS, gamma=1.0)}},
          "simulation.true_params.gamma"),
     _bad("simulate", {"simulation": {"policies": []}}, "simulation.policies"),
+    _bad("simulate", {}, "simulation.policies",
+         flags=("--policy", "classical-static-prior",
+                "--policy", "classical-static-prior")),
     _bad("equilibrium", {"equilibrium": {"contraction_trials": "many"}},
          "equilibrium.contraction_trials"),
     _bad("equilibrium", {"equilibrium": {"contraction_trials": 0}},
@@ -272,6 +275,28 @@ def test_report_renders_tables(outdir, capsys):
     assert "30.8250" in text
     assert "## Bootstrap comparisons" in text
     assert os.path.isfile(os.path.join(outdir, "report.md"))
+
+
+def test_report_static_baseline_at_the_true_coefficients(outdir, tmp_path,
+                                                        capsys):
+    # a prior centred on the truth leaves the static policy, which never
+    # updates, at MSE 0: its MSE reduction is undefined, not a crash
+    cfg = tmp_path / "truth.json"
+    cfg.write_text(json.dumps({"simulation": {
+        "prior_mean": [45.0, -3.6, 1.2, 7.5]}}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", outdir,
+                    "--replications", "2", "--horizon", "5", "--seed", "11"]) == 0
+    with open(os.path.join(outdir, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["policies"]["classical-static-prior"]["mean_final_mse"] == 0.0
+    relative = summary["relative_improvement"]["classical-static-prior"]
+    assert relative["mse_reduction_pct"] is None
+    assert relative["profit_gain_pct"] is not None
+    capsys.readouterr()
+    assert run_cli(["report", outdir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("| classical-static-prior |")
+               and line.endswith("| n/a |") for line in lines)
 
 
 # -------------------------------------------------------------- equilibrium
@@ -542,13 +567,13 @@ def _tree_sha256(root) -> str:
 # numpy or platform may round differently and need them recorded again.
 PINNED_TREES = {
     ("fixed", "gibbs-every-period"):
-        "23f0553dd4bd5c7f3fc7fd5ffad7e092182fd842fc5b7970b9f0ab9d83823319",
+        "4d33f08e240da2fcc93c595f14799beeacdfbe7b30d3edb91966a1accae89be9",
     ("fixed", "single-imputation"):
-        "abb047e1130c8cf64443b78ce78b7574d04e8efed0943d1a85c9d55f9cd73e61",
+        "6cb9899662beb7087172f90faf427bbb87ab42b136ec8a0f5264a925ba39bb2a",
     ("learn", "gibbs-every-period"):
-        "43b3c601fa23dd4f0f51dd6f97cfb77b2932edab82d2aa5e6f52ce9f99e36ab0",
+        "d3d4683baf54308ccbbcd0c349c9d0b1166c72836f267f342828523db0e96990",
     ("learn", "single-imputation"):
-        "50d38c76527e4a798706043ed30e6425187a894a6597baeee5a8e5ebef3e1e6d",
+        "54cc54c709bd66a4eef2be7700f12c9117730a8e58dedf9074384b99bd6f9032",
 }
 
 

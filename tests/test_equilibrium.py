@@ -1,6 +1,7 @@
 """Belief-grid solver: Bellman operator, contraction, fixed points, best response."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 build_belief_grid, build_dynamics,
                                 contraction_check, equilibrium_iteration,
                                 myopic_policy, value_iterate)
+from crgame.policy import expected_profit_closed_form
 
 LOW = FirmType(6.0, 0.8, 1.5)
 HIGH = FirmType(10.0, 0.8, 1.5)
@@ -190,6 +192,62 @@ def test_two_type_build_equals_single_type_builds(salvage_on):
     # the types share one transition table and differ in their rewards
     assert both[0].next_idx is both[1].next_idx
     assert not np.array_equal(both[0].reward, both[1].reward)
+
+
+def random_rivals(config, grid, seed):
+    rng = rngmod.stream(seed, "rivals")
+    n_actions = len(config.price_grid) * len(config.quantity_grid)
+    return tuple(GridPolicy(rng.integers(0, n_actions, size=grid.n_nodes))
+                 for _ in (0, 1))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_known_noise_prior_builds_the_equivalent_learned_noise_dynamics(seed):
+    # known sd sigma with coefficient covariance S is the normal-inverse-gamma
+    # prior with scale S / sigma^2 and noise variance mean b / (a - 1) = sigma^2
+    config = fine_config()
+    grid = build_belief_grid(config)
+    rivals = random_rivals(config, grid, seed)
+    sigma, m = 4.5, np.array([35.0, -2.0, 0.5, 3.0])
+    S = np.diag([20.0, 1.0, 1.0, 4.0])
+    known = dataclasses.replace(
+        make_model(), hyper=PosteriorHyper(m, S, 3.0, 2.0, fixed_sd=sigma))
+    learned = dataclasses.replace(
+        make_model(), hyper=PosteriorHyper(m, S / sigma**2, 3.0, 2.0 * sigma**2))
+    for got, want in zip(build_dynamics(grid, config, known, (LOW, HIGH), rivals),
+                         build_dynamics(grid, config, learned, (LOW, HIGH), rivals)):
+        np.testing.assert_allclose(got.reward, want.reward, rtol=1e-12)
+        np.testing.assert_array_equal(got.next_idx, want.next_idx)
+
+
+@pytest.mark.parametrize("salvage_on", [True, False])
+def test_near_deterministic_reward_is_the_closed_form_expected_profit(salvage_on):
+    # with demand noise and coefficient spread near zero, the kappa = 0
+    # reward is the closed-form expected profit of each rival-type branch,
+    # weighted by the type belief. The intercepts sit off the integer
+    # lattice, so no predictive mean lands on a sales kink (zero or a stock
+    # level), where the quadrature of min(D, stock) is off by O(sd).
+    config = make_config(kappa=0.0, intercept_axis=(30.25, 40.25, 50.25))
+    grid = build_belief_grid(config)
+    rivals = random_rivals(config, grid, 8)
+    m = np.array([35.0, -2.0, 0.5, 3.0])
+    model = EquilibriumModel(
+        firm_types=(LOW, HIGH), rival_types=(LOW, HIGH), salvage_on=salvage_on,
+        hyper=PosteriorHyper(m, 1e-14 * np.eye(4), 3.0, 40.5, fixed_sd=1e-6))
+    n_q = len(config.quantity_grid)
+    rival_prices = np.asarray(config.price_grid)[
+        np.stack([pol.actions for pol in rivals], axis=1) // n_q]  # (N, B)
+    actions = list(itertools.product(config.price_grid, config.quantity_grid))
+    for own_type, dyn in zip((LOW, HIGH), build_dynamics(
+            grid, config, model, (LOW, HIGH), rivals)):
+        want = np.array([[sum(
+            prob * expected_profit_closed_form(
+                m0 + m[1] * p + m[2] * rp, 1e-6, q, p, own_type,
+                inventory=inv, salvage_on=salvage_on)
+            for prob, rp in zip((1.0 - mu, mu), rival_prices[n]))
+            for p, q in actions] for n, (inv, m0, mu) in enumerate(grid.nodes)])
+        np.testing.assert_allclose(dyn.reward, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_contraction_check_on_model_dynamics():

@@ -135,6 +135,18 @@ def test_truncated_sampler_far_tail():
     assert draws.mean() == pytest.approx(9.0 + 1.0 / 9.0, rel=0.05)
 
 
+def test_truncated_sampler_unbounded_below_is_the_normal():
+    # lower = -inf takes the body formula: an untruncated N(mean, sd^2)
+    rng = rngmod.stream(27, "untruncated")
+    n = 200_000
+    draws = truncated_normal_lower(np.full(n, -4.0), np.full(n, 3.0),
+                                   np.full(n, -np.inf), rng)
+    assert np.all(np.isfinite(draws))
+    assert abs(draws.mean() + 4.0) < 3 * 3.0 / np.sqrt(n)
+    assert draws.var(ddof=1) == pytest.approx(9.0, rel=0.02)
+    assert np.mean(draws < -4.0) == pytest.approx(0.5, abs=0.005)
+
+
 def test_truncated_upper_is_reflection():
     r1 = rngmod.stream(29, "ref")
     r2 = rngmod.stream(29, "ref")

@@ -123,11 +123,9 @@ def test_simulate_period_deterministic():
 
 def test_simulate_period_advances_state():
     outcomes, nxt = _step(rngmod.stream(5, "market"))
-    assert nxt.period == 2
     for i in (0, 1):
         assert nxt.inventory[i] == pytest.approx(outcomes[i].next_inventory)
         assert nxt.last_stockout[i] == outcomes[i].stockout
-        assert nxt.last_prices[i] == 12.0
 
 
 def test_lagged_stockout_feeds_next_period_demand():

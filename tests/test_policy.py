@@ -136,8 +136,8 @@ def test_profit_moments_grid_is_bit_exact(salvage_on, rival_stockout,
     profit = (prices[:, None, None] * sales - LOW.c * qtys[None, :, None]
               - net_hold * left)
     means, sds = kernels.profit_moments_grid(
-        coef, sig, z, prices, qtys, inventory, 11.0, rival_stockout, LOW.c,
-        LOW.h, LOW.s, salvage_on)
+        coef, sig, z, prices, qtys, inventory, 11.0, rival_stockout, LOW,
+        salvage_on)
     np.testing.assert_array_equal(means, profit.mean(axis=2).reshape(-1))
     np.testing.assert_array_equal(sds, profit.std(axis=2, ddof=1).reshape(-1))
 
@@ -276,7 +276,7 @@ def test_predictive_profit_moments_consistency():
                                     rngmod.stream(107, "pm"))
     (m,), (s,) = kernels.profit_moments_grid(
         coef, sig, z, (candidate.price,), (candidate.quantity,),
-        state.inventory, rival.price, False, LOW.c, LOW.h, LOW.s, True)
+        state.inventory, rival.price, False, LOW, True)
     assert np.isfinite(m) and s > 0.0
     # the same cell of the full grid, scored from the same stream
     _, (means, sds, _) = select_action(state, config, "bayesian-risk-neutral",

@@ -224,6 +224,10 @@ def test_relative_improvement_arithmetic():
 def test_relative_improvement_zero_baseline_flagged():
     out = relative_improvement(150.0, 0.0, 8.0, 10.0)
     assert out["profit_gain_pct"] is None
+    # a baseline at the true coefficients has MSE 0
+    out = relative_improvement(150.0, 100.0, 8.0, 0.0)
+    assert out["mse_reduction_pct"] is None
+    assert out["profit_gain_pct"] == pytest.approx(50.0)
 
 
 def test_summarize_relative_on_small_run():
