@@ -597,3 +597,38 @@ def test_simulate_tree_is_pinned_per_noise_and_learning_mode(
     assert any(float(rate) > 0 for policy, _, rate in rows
                if policy != "classical-static-prior")
     assert _tree_sha256(out) == PINNED_TREES[sigma_mode, learning_mode]
+
+
+# sha256 of `crgame equilibrium --seed 3` with SOURCE_DATE_EPOCH=0 on the
+# default grid, on 8 x 8 x 3 = 192 belief nodes, and with the model refrozen
+# from 5 trajectories each round: a change that moves any byte the solver
+# writes shows up here. Recorded as PINNED_TREES above.
+PINNED_EQUILIBRIUM_TREES = {
+    "default": (
+        {},
+        "ed823693f356ee83fcd93ff5622a5cd3e2cad5feef6e0e8bf04a525852836750"),
+    "fine-axes": (
+        {"inventory_axis": [5.0 * i for i in range(8)],
+         "intercept_axis": [30.0 + 3.75 * i for i in range(8)],
+         "belief_axis": [0.0, 0.5, 1.0]},
+        "ae4cca749a7512d1492e5ca8f3935ac497d0e2976beef6b31b7a27e294a2ad59"),
+    "refresh": (
+        {"refresh_trajectories": 5},
+        "a17039a6763001ec4359eb5bfe633f9e629564aa0fb471bd73a6ba4eec6ab6d9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EQUILIBRIUM_TREES))
+def test_equilibrium_tree_is_pinned(tmp_path, name):
+    settings, digest = PINNED_EQUILIBRIUM_TREES[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"equilibrium": settings}))
+    out = tmp_path / "out"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, SOURCE_DATE_EPOCH="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crgame", "equilibrium", "--config", str(cfg),
+         "--out", str(out), "--seed", "3"], env=env, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _tree_sha256(out) == digest
