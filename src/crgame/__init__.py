@@ -21,7 +21,7 @@ from .policy import (POLICIES, BeliefState, PolicyConfig,
                      expected_sales_closed_form, forecast_rival_action,
                      predictive_draws, select_action)
 from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,
-                          EquilibriumModel, GridPolicy, IterationDiagnostics,
+                          EquilibriumModel, IterationDiagnostics,
                           NonConvergenceError, build_belief_grid,
                           build_dynamics, contraction_check,
                           equilibrium_iteration, myopic_policy, value_iterate)

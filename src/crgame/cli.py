@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import __version__, rng as rngmod
+from . import __version__, equilibrium, rng as rngmod
 from .learning import TypeBelief
 from .market import SALVAGE_MODES, DemandParams, salvage_credited
 from .equilibrium import (EquilibriumConfig, EquilibriumModel,
@@ -70,13 +70,6 @@ def write_json(path, obj):
 def config_hash(config_dict: dict) -> str:
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _timestamp() -> str:
-    # honor SOURCE_DATE_EPOCH so byte-identical output trees are possible
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
 # ------------------------------------------------------------- configuration
@@ -207,6 +200,7 @@ def cmd_simulate(args) -> int:
         })
         sim_config = build_sim_config(cfg)
         policies = _requested_policies(cfg)
+        epoch = _env_int("SOURCE_DATE_EPOCH")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -234,7 +228,7 @@ def cmd_simulate(args) -> int:
 
     try:
         _write_simulate_outputs(args.out, cfg, sim_config, policies, summary,
-                                relative, bootstrap)
+                                relative, bootstrap, epoch)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -242,7 +236,7 @@ def cmd_simulate(args) -> int:
 
 
 def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
-                            relative, bootstrap):
+                            relative, bootstrap, epoch):
     # stage into a temp dir so a failed run never leaves partial outputs
     parent = os.path.dirname(os.path.abspath(out_dir)) or "."
     os.makedirs(parent, exist_ok=True)
@@ -300,7 +294,8 @@ def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
             "artifact_version": __version__,
             "config_hash": config_hash(cfg),
             "master_seed": sim_config.master_seed,
-            "timestamp": _timestamp(),
+            # SOURCE_DATE_EPOCH when set, so byte-identical trees are possible
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch)),
             "outputs": outputs + ["manifest.json"],
         })
 
@@ -325,7 +320,7 @@ def build_eq_inputs(cfg: dict):
     # build_dynamics follows the prior's noise convention; the solve is held
     # on normal-inverse-gamma (S a scale matrix) whatever the study's sigma_mode
     model = EquilibriumModel(
-        firm_types=(low, high), rival_types=(low, high),
+        rival_types=(low, high),
         hyper=dataclasses.replace(sim.prior_hyper(), fixed_sd=None),
         salvage_on=salvage_credited(sim.salvage_mode))
     return eq_config, model, sim
@@ -341,7 +336,7 @@ def cmd_equilibrium(args) -> int:
             raise ConfigError(
                 f"equilibrium.contraction_trials must be >= 1, got {trials}")
         grid = build_belief_grid(eq_config)
-    except ValueError as exc:  # a ConfigError, or axes build_belief_grid rejects
+    except ValueError as exc:  # a ConfigError, or a grid over the node budget
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -352,23 +347,29 @@ def cmd_equilibrium(args) -> int:
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    # each firm's values as its actual type, from the iteration's last round
-    value1, value2 = (values[f][model.rival_types.index(model.firm_types[f])]
-                      for f in (0, 1))
+    # firm 1 is low-cost and firm 2 high-cost: each firm's values as its
+    # actual type, from the iteration's last round
+    value1, value2 = values[0][0], values[1][1]
 
+    # firm 1's Bellman operator against firm 2's policies, under the solved model
     check_rng = rngmod.stream(sim.master_seed, "contraction")
-    report = contraction_check(grid, model, pol2, trials, check_rng, eq_config,
-                               model.firm_types[0])
+    report = contraction_check(
+        equilibrium.build_dynamics(grid, eq_config, model,
+                                   (model.rival_types[0],), pol2)[0],
+        eq_config, trials, check_rng)
 
     try:
         os.makedirs(args.out, exist_ok=True)
         type_names = ("low-cost", "high-cost")
+        n_q = len(eq_config.quantity_grid)
         for firm, pols in (("firm1", pol1), ("firm2", pol2)):
             rows = []
             for k, pol in enumerate(pols):
-                for n, (price, qty) in enumerate(pol.as_tuples(eq_config)):
+                for n, a in enumerate(pol):
                     inv, m0, mu = grid.nodes[n]
-                    rows.append((type_names[k], inv, m0, mu, price, qty))
+                    rows.append((type_names[k], inv, m0, mu,
+                                 eq_config.price_grid[a // n_q],
+                                 eq_config.quantity_grid[a % n_q]))
             write_csv(os.path.join(args.out, f"policy_{firm}.csv"),
                       ["own_type", "inventory", "intercept_mean",
                        "rival_high_cost_prob", "price", "quantity"], rows)
@@ -492,15 +493,18 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
-def _seed(args) -> int | None:
-    """``--seed``, else ``CRGAME_SEED``, else None (the config's seed)."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("CRGAME_SEED")
+def _env_int(name: str) -> int | None:
+    """Environment variable ``name`` as an integer, or None when unset."""
+    raw = os.environ.get(name)
     try:
         return int(raw) if raw else None
     except ValueError:
-        raise ConfigError(f"CRGAME_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _seed(args) -> int | None:
+    """``--seed``, else ``CRGAME_SEED``, else None (the config's seed)."""
+    return args.seed if args.seed is not None else _env_int("CRGAME_SEED")
 
 
 def make_parser() -> argparse.ArgumentParser:

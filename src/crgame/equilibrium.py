@@ -11,18 +11,17 @@ the nearest grid node (ties to the lower node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .learning import PosteriorHyper, conjugate_update
-from .market import FirmType, period_profit
+from .market import period_profit
 
 __all__ = [
     "EquilibriumConfig",
     "EquilibriumModel",
     "BeliefGrid",
-    "GridPolicy",
     "IterationDiagnostics",
     "DiscretizedDynamics",
     "NonConvergenceError",
@@ -85,13 +84,14 @@ class EquilibriumConfig:
                 raise ValueError(f"{name} needs at least 2 points")
             if np.any(np.diff(axis) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
+        if self.belief_axis[0] < 0 or self.belief_axis[-1] > 1:
+            raise ValueError("belief_axis entries must lie in [0, 1]")
 
 
 @dataclass
 class EquilibriumModel:
     """Frozen economic primitives the grid game is built from."""
 
-    firm_types: tuple           # actual FirmType per firm
     rival_types: tuple          # (low-cost FirmType, high-cost FirmType)
     hyper: PosteriorHyper       # frozen posterior; intercept mean varies per node
     salvage_on: bool = True
@@ -107,18 +107,6 @@ class BeliefGrid:
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-
-@dataclass
-class GridPolicy:
-    """Per-node flat action index into the price-major action grid."""
-
-    actions: np.ndarray
-
-    def as_tuples(self, config: EquilibriumConfig):
-        n_q = len(config.quantity_grid)
-        return [(config.price_grid[a // n_q], config.quantity_grid[a % n_q])
-                for a in self.actions]
 
 
 @dataclass
@@ -146,8 +134,6 @@ def build_belief_grid(config: EquilibriumConfig) -> BeliefGrid:
     inv = np.asarray(config.inventory_axis, dtype=float)
     m0 = np.asarray(config.intercept_axis, dtype=float)
     mu = np.asarray(config.belief_axis, dtype=float)
-    if np.any(mu < 0) or np.any(mu > 1):
-        raise ValueError("belief axis entries must lie in [0, 1]")
     count = inv.size * m0.size * mu.size
     if count > config.node_budget:
         raise ValueError(
@@ -175,22 +161,22 @@ def _hermite_rule(k: int):
 
 
 def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
-                   model: EquilibriumModel, firm_type: FirmType | tuple,
-                   rival_policies: tuple) -> DiscretizedDynamics | tuple:
+                   model: EquilibriumModel, own_types: tuple,
+                   rival_policies: tuple) -> tuple:
     """Precompute rewards and projected transitions for one firm.
 
-    ``rival_policies`` holds one GridPolicy per hypothesized rival type
-    (low, high); the rival is assumed to act from the mirrored node. Rewards
-    are credible-risk scores over the joint (rival type, demand noise)
-    mixture; the type-belief transition follows Bayes' rule against the
-    rival's deterministic per-type policies. One pass per price: sales,
+    A policy is the (N,) int64 array of each node's flat index into the
+    price-major action grid. ``rival_policies`` holds one per hypothesized
+    rival type (low, high); the rival is assumed to act from the mirrored
+    node. Rewards are credible-risk scores over the joint (rival type, demand
+    noise) mixture; the type-belief transition follows Bayes' rule against
+    the rival's deterministic per-type policies. One pass per price: sales,
     leftover stock and profit broadcast over the quantity grid.
 
-    Given a tuple of own types, returns one DiscretizedDynamics per type.
-    Transitions and weights depend only on the rival, so the types share
-    them; each type's reward is computed exactly as a single-type build.
+    Returns one DiscretizedDynamics per own type. Transitions and weights
+    depend only on the rival, so the types share them; each type's reward is
+    computed exactly as a single-type build computes it.
     """
-    own_types = firm_type if isinstance(firm_type, tuple) else (firm_type,)
     prices = np.asarray(config.price_grid, dtype=float)
     quants = np.asarray(config.quantity_grid, dtype=float)
     n_q = quants.size
@@ -203,7 +189,7 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     weights = type_probs[:, :, None] * wq[None, None, :]               # (N, B, K)
     w_joint = weights[:, None]                                         # (N, 1, B, K)
 
-    rival_actions = np.stack([pol.actions for pol in rival_policies], axis=1)  # (N, B)
+    rival_actions = np.stack(rival_policies, axis=1)                  # (N, B)
     rp = prices[rival_actions // n_q]  # (N, B) rival price per node/type
     # a separating rival reveals its type; a pooling one leaves the belief
     separating = (rival_actions[:, 0] != rival_actions[:, 1])[:, None]
@@ -239,9 +225,8 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
                             + i_m0) * grid.mu_axis.size + i_mu)
 
     next_idx = next_idx.reshape(n_nodes, -1, 2, zq.size)
-    dyns = tuple(DiscretizedDynamics(reward.reshape(n_nodes, -1), next_idx, weights)
+    return tuple(DiscretizedDynamics(reward.reshape(n_nodes, -1), next_idx, weights)
                  for reward in rewards)
-    return dyns if isinstance(firm_type, tuple) else dyns[0]
 
 
 def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
@@ -259,12 +244,10 @@ def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
     return q_vals.max(axis=1), greedy
 
 
-def value_iterate(grid: BeliefGrid, rival_policies: tuple,
-                  config: EquilibriumConfig, model: EquilibriumModel,
-                  firm_type: FirmType, initial: np.ndarray | None = None,
-                  dyn: DiscretizedDynamics | None = None
-                  ) -> tuple[np.ndarray, GridPolicy, IterationDiagnostics]:
-    """Solve one firm's best response by modified policy iteration.
+def value_iterate(dyn: DiscretizedDynamics, config: EquilibriumConfig,
+                  initial: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, IterationDiagnostics]:
+    """Solve one firm's best response to ``dyn`` by modified policy iteration.
 
     Starting from the greedy policy of ``initial`` (zeros by default), each
     iteration evaluates the current policy by iterating its fixed-policy
@@ -279,8 +262,6 @@ def value_iterate(grid: BeliefGrid, rival_policies: tuple,
     sweeps of each policy evaluation; reaching either bound raises
     ``NonConvergenceError``.
     """
-    if dyn is None:
-        dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
     n_nodes = dyn.reward.shape[0]
     values = np.zeros(n_nodes) if initial is None else np.asarray(initial, float)
     values, policy = bellman_core(values, dyn, config.delta)
@@ -297,7 +278,7 @@ def value_iterate(grid: BeliefGrid, rival_policies: tuple,
         values, policy = new_vals, new_policy
         if delta_sup < config.tol:
             diag.converged = True
-            return values, GridPolicy(policy), diag
+            return values, policy, diag
     raise NonConvergenceError(
         f"policy iteration did not reach tol={config.tol} in {config.max_iter} "
         "iterations", diag)
@@ -322,12 +303,9 @@ def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarra
         "sweeps", diag)
 
 
-def myopic_policy(grid: BeliefGrid, rival_policies: tuple,
-                  config: EquilibriumConfig, model: EquilibriumModel,
-                  firm_type: FirmType) -> GridPolicy:
+def myopic_policy(dyn: DiscretizedDynamics) -> np.ndarray:
     """Greedy one-step credible-risk policy (no continuation term)."""
-    dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
-    return GridPolicy(dyn.reward.argmax(axis=1))
+    return dyn.reward.argmax(axis=1)
 
 
 def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
@@ -353,8 +331,7 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     grid = build_belief_grid(config)
     mid = (len(config.price_grid) - 1) // 2 * len(config.quantity_grid) \
         + (len(config.quantity_grid) - 1) // 2
-    policies = [[GridPolicy(np.full(grid.n_nodes, mid, dtype=np.int64))] * 2
-                for _ in (0, 1)]
+    policies = [[np.full(grid.n_nodes, mid, dtype=np.int64)] * 2 for _ in (0, 1)]
     values = [[None, None], [None, None]]
     diag = IterationDiagnostics()
     solved = {}  # rival pair's action bytes -> per-own-type (values, policy, diag)
@@ -367,13 +344,12 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
         sup_delta = 0.0
         for firm in (0, 1):
             rivals = tuple(policies[1 - firm])
-            key = tuple(pol.actions.tobytes() for pol in rivals)
+            key = tuple(pol.tobytes() for pol in rivals)
             if key not in solved:
                 solved[key] = _best_responses(grid, config, model, rivals)
             for k, (vals, new_pol, vi_diag) in enumerate(solved[key]):
                 values[firm][k] = vals
-                changes += int(np.count_nonzero(
-                    new_pol.actions != policies[firm][k].actions))
+                changes += int(np.count_nonzero(new_pol != policies[firm][k]))
                 sup_delta = max(sup_delta, vi_diag.sup_norm_deltas[-1])
                 policies[firm][k] = new_pol
         diag.policy_change_counts.append(changes)
@@ -389,10 +365,8 @@ def _best_responses(grid: BeliefGrid, config: EquilibriumConfig,
                     model: EquilibriumModel, rivals: tuple) -> tuple:
     """Each own type's best response to one rival policy pair, from one
     build; the build is freed on return, so at most one is alive at a time."""
-    own_types = tuple(model.rival_types)
-    dyns = build_dynamics(grid, config, model, own_types, rivals)
-    return tuple(value_iterate(grid, rivals, config, model, own_type, dyn=dyn)
-                 for own_type, dyn in zip(own_types, dyns))
+    dyns = build_dynamics(grid, config, model, model.rival_types, rivals)
+    return tuple(value_iterate(dyn, config) for dyn in dyns)
 
 
 def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
@@ -416,8 +390,8 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
         hyper = model.hyper.copy()
         node = int(rng.integers(grid.n_nodes))
         for _ in range(config.refresh_horizon):
-            a0 = policies[0][0].actions[node]
-            a1 = policies[1][0].actions[node]
+            a0 = policies[0][0][node]
+            a1 = policies[1][0][node]
             p_own, q_own = prices[a0 // n_q], quants[a0 % n_q]
             p_riv = prices[a1 // n_q]
             x = np.array([1.0, p_own, p_riv, 0.0])
@@ -435,23 +409,21 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
     k = config.refresh_trajectories
     new_hyper = PosteriorHyper(acc_m / k, acc_S / k, acc_a / k, acc_b / k,
                                model.hyper.fixed_sd)
-    return EquilibriumModel(model.firm_types, model.rival_types, new_hyper,
-                            model.salvage_on)
+    return replace(model, hyper=new_hyper)
 
 
-def contraction_check(grid: BeliefGrid, model: EquilibriumModel,
-                      rival_policies: tuple, trials: int,
-                      rng: np.random.Generator, config: EquilibriumConfig,
-                      firm_type: FirmType) -> dict:
-    """Verify sup-norm contraction with modulus delta on random value pairs."""
-    dyn = build_dynamics(grid, config, model, firm_type, rival_policies)
+def contraction_check(dyn: DiscretizedDynamics, config: EquilibriumConfig,
+                      trials: int, rng: np.random.Generator) -> dict:
+    """Verify sup-norm contraction of ``dyn``'s Bellman operator with modulus
+    delta on random value pairs."""
+    n_nodes = dyn.reward.shape[0]
     r_max = float(np.max(np.abs(dyn.reward)))
     bound = r_max / (1.0 - config.delta)
     max_ratio = 0.0
     violations = []
     for t in range(trials):
-        v = rng.uniform(-bound, bound, size=grid.n_nodes)
-        w = rng.uniform(-bound, bound, size=grid.n_nodes)
+        v = rng.uniform(-bound, bound, size=n_nodes)
+        w = rng.uniform(-bound, bound, size=n_nodes)
         tv, _ = bellman_core(v, dyn, config.delta)
         tw, _ = bellman_core(w, dyn, config.delta)
         lhs = float(np.max(np.abs(tv - tw)))

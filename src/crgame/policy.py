@@ -36,7 +36,7 @@ POLICIES = (
     "classical-static-prior",
 )
 
-RIVAL_FORECAST_RULES = ("last-action", "midpoint", "type-weighted")
+RIVAL_FORECAST_RULES = ("last-action", "type-weighted")
 
 
 @dataclass
@@ -141,7 +141,7 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
         total = (state.rival_type_belief.probs[:, None] * tables).sum(axis=0)
         k = int(np.argmax(total))
         return _grid_action(config, k)
-    if config.rival_forecast == "last-action" and state.last_rival_action is not None:
+    if state.last_rival_action is not None:
         return state.last_rival_action
     return _midpoint_action(config)
 
@@ -153,12 +153,12 @@ def _grid_action(config: PolicyConfig, flat_index: int) -> Action:
 
 
 def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
-                             rival_price: float, firm_types,
+                             rival_price: float, types,
                              inventory: float = 0.0,
                              rival_stockout: bool = False) -> np.ndarray:
     """Expected profit per grid action at point coefficients, one row per type.
 
-    Returns a (len(firm_types), P * Q) array, price-major. Expected sales do
+    Returns a (len(types), P * Q) array, price-major. Expected sales do
     not depend on the type, so all rows share them. The arithmetic follows
     ``expected_profit_closed_form`` operation for operation, so each cell
     equals the scalar closed form exactly.
@@ -173,7 +173,7 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
     exp_left = stock - exp_sales
     return np.stack([period_profit(prices, exp_sales, quantities, exp_left,
                                    firm_type, salvage_on).reshape(-1)
-                     for firm_type in firm_types])
+                     for firm_type in types])
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator):

@@ -15,7 +15,7 @@ from scipy import stats
 
 from crgame import cli, rng as rngmod
 from crgame.equilibrium import (EquilibriumConfig, EquilibriumModel,
-                                bellman_core, build_belief_grid,
+                                bellman_core, build_belief_grid, build_dynamics,
                                 equilibrium_iteration, myopic_policy,
                                 value_iterate)
 from crgame.learning import (PosteriorHyper, TypeBelief,
@@ -229,8 +229,7 @@ def test_criterion_6_expected_sales_closed_form():
 
 def eq_model():
     hyper = PosteriorHyper(PRIOR_MEAN.copy(), PRIOR_COV.copy(), 3.0, 40.5)
-    return EquilibriumModel(firm_types=(LOW, HIGH), rival_types=(LOW, HIGH),
-                            hyper=hyper)
+    return EquilibriumModel(rival_types=(LOW, HIGH), hyper=hyper)
 
 
 def eq_config(**kw):
@@ -244,10 +243,10 @@ def eq_config(**kw):
     return EquilibriumConfig(**base)
 
 
-def fixed_rival(grid):
-    from crgame.equilibrium import GridPolicy
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
-    return (mid, mid)
+def fixed_rival_dynamics(grid, config, model):
+    """The low-cost firm's dynamics against a rival fixed at action 7."""
+    mid = np.full(grid.n_nodes, 7)
+    return build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
 
 
 def test_criterion_7_bellman_contraction():
@@ -255,10 +254,9 @@ def test_criterion_7_bellman_contraction():
     100 random value-function pairs, and a constant shift moves the operator
     output by exactly delta times the shift (within 1e-9).
     """
-    from crgame.equilibrium import build_dynamics
     config, model = eq_config(), eq_model()
     grid = build_belief_grid(config)
-    dyn = build_dynamics(grid, config, model, LOW, fixed_rival(grid))
+    dyn = fixed_rival_dynamics(grid, config, model)
     rng = rngmod.stream(707, "pairs")
     for _ in range(100):
         v = rng.uniform(-500, 500, size=grid.n_nodes)
@@ -282,11 +280,11 @@ def test_criterion_8_fixed_point_uniqueness():
     """
     config, model = eq_config(delta=0.95, tol=1e-7), eq_model()
     grid = build_belief_grid(config)
-    rival = fixed_rival(grid)
+    dyn = fixed_rival_dynamics(grid, config, model)
     rng = rngmod.stream(808, "inits")
-    v1, _, _ = value_iterate(grid, rival, config, model, LOW,
+    v1, _, _ = value_iterate(dyn, config,
                              initial=rng.uniform(-1000, 1000, grid.n_nodes))
-    v2, _, _ = value_iterate(grid, rival, config, model, LOW,
+    v2, _, _ = value_iterate(dyn, config,
                              initial=rng.uniform(-1000, 1000, grid.n_nodes))
     bound = 2.0 * config.tol / (1.0 - config.delta)
     assert np.max(np.abs(v1 - v2)) < bound
@@ -304,9 +302,9 @@ def test_criterion_9a_zero_discount_equilibrium_is_myopic():
     grid = build_belief_grid(config)
     pol1, pol2 = policies
     for own_pols, rival_pols in ((pol1, pol2), (pol2, pol1)):
-        for k, firm_type in enumerate(model.rival_types):
-            myo = myopic_policy(grid, rival_pols, config, model, firm_type)
-            np.testing.assert_array_equal(own_pols[k].actions, myo.actions)
+        for k, dyn in enumerate(build_dynamics(grid, config, model,
+                                               model.rival_types, rival_pols)):
+            np.testing.assert_array_equal(own_pols[k], myopic_policy(dyn))
 
 
 def test_criterion_9b_zero_kappa_equals_risk_neutral():

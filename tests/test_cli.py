@@ -1,7 +1,6 @@
 """Command-line surface: subcommands, exit codes, output tree contents."""
 
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -142,6 +141,8 @@ BAD_VALUES = [
          "belief"),
     _bad("simulate", {"simulation": {"high_cost_prob": [0.5]}}, "high_cost_prob"),
     _bad("simulate", {"simulation": {"rival_forecast": "bogus"}}, "bogus"),
+    _bad("simulate", {"simulation": {"rival_forecast": "midpoint"}}, "midpoint",
+         suffix="=midpoint"),
     _bad("simulate", {"simulation": {"predictive_samples": 1}},
          "predictive_samples"),
     _bad("simulate", {"simulation": {"prior_a": 1.0}}, "prior_a"),
@@ -264,6 +265,22 @@ def test_non_integer_env_seed_is_a_config_error(outdir, tmp_path, monkeypatch,
     assert run_cli(["report", str(tmp_path / "res")]) == 0
 
 
+def test_non_integer_source_date_epoch_is_a_config_error(tmp_path):
+    # a fresh interpreter: the variable is read before any replication runs,
+    # so neither the study's imports nor the manifest's timestamp meet it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, SOURCE_DATE_EPOCH="abc")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crgame", "simulate", "--replications", "1",
+         "--horizon", "1", "--out", str(out)], env=env, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "SOURCE_DATE_EPOCH" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- report
 
 def test_report_renders_tables(outdir, capsys):
@@ -367,20 +384,29 @@ def test_default_config_builds_the_dataclass_defaults():
 
 def _traced_equilibrium(tmp_path, monkeypatch, config=None):
     """Run ``crgame equilibrium --seed 3``; return the iteration's arguments
-    and result, the contraction check's arguments, and the output dir."""
+    and result, the contraction check's arguments, the last build's
+    arguments and result, and the output dir."""
     seen = {}
+    iterate, check, build = (equilibrium.equilibrium_iteration,
+                             equilibrium.contraction_check,
+                             equilibrium.build_dynamics)
 
     def iteration(*args, **kwargs):
         seen["args"] = args
-        seen["result"] = equilibrium.equilibrium_iteration(*args, **kwargs)
+        seen["result"] = iterate(*args, **kwargs)
         return seen["result"]
 
     def contraction_check(*args):
         seen["check"] = args
-        return equilibrium.contraction_check(*args)
+        return check(*args)
+
+    def build_dynamics(*args):
+        seen["build"] = args, build(*args)
+        return seen["build"][1]
 
     monkeypatch.setattr(cli, "equilibrium_iteration", iteration)
     monkeypatch.setattr(cli, "contraction_check", contraction_check)
+    monkeypatch.setattr(equilibrium, "build_dynamics", build_dynamics)
     out = tmp_path / "eq"
     argv = ["equilibrium", "--out", str(out), "--seed", "3"]
     if config is not None:
@@ -402,17 +428,21 @@ def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
     config = seen["args"][0]
     (pol1, pol2), _, model, _ = seen["result"]
     grid = equilibrium.build_belief_grid(config)
-    low, high = model.firm_types
-    # firm 1's values are its best response to firm 2's policy pair and
-    # firm 2's to firm 1's, bit for bit
-    want1, _, _ = equilibrium.value_iterate(grid, pol2, config, model, low)
-    want2, _, _ = equilibrium.value_iterate(grid, pol1, config, model, high)
+    low, high = model.rival_types
+    # the contraction check runs on the low-cost firm 1's dynamics against
+    # firm 2's policies, under the solved model
+    (_, _, check_model, check_types, check_rival), dyns = seen["build"]
+    assert seen["check"][0] is dyns[0]
+    assert check_model is model and check_rival is pol2 and check_types == (low,)
+    # firm 1's values are its low-cost best response to firm 2's policy pair
+    # and firm 2's its high-cost one to firm 1's, bit for bit
+    dyn1 = equilibrium.build_dynamics(grid, config, model, (low,), pol2)[0]
+    dyn2 = equilibrium.build_dynamics(grid, config, model, (high,), pol1)[0]
+    want1, _, _ = equilibrium.value_iterate(dyn1, config)
+    want2, _, _ = equilibrium.value_iterate(dyn2, config)
     rows = _read_rows(out / "values.csv")
     assert [float(r[3]) for r in rows] == want1.tolist()
     assert [float(r[4]) for r in rows] == want2.tolist()
-    # the contraction check faces firm 2's policies, under the solved model
-    _, check_model, check_rival, *_, check_type = seen["check"]
-    assert check_model is model and check_rival is pol2 and check_type == low
 
 
 def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
@@ -423,41 +453,50 @@ def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
     policies, _, model, diag = seen["result"]
     assert diag.converged and len(diag.policy_change_counts) > 2
     assert not np.array_equal(model.hyper.m, prior.hyper.m)
+    # the contraction check's build is under the refreshed model
+    assert seen["build"][0][2] is model
     grid = equilibrium.build_belief_grid(config)
     values = np.array([[float(v) for v in row[3:]]
                        for row in _read_rows(out / "values.csv")])
+    n_q = len(config.quantity_grid)
     for f, name in enumerate(("firm1", "firm2")):
         written = [(float(r[4]), float(r[5]))
                    for r in _read_rows(out / f"policy_{name}.csv")]
-        for k, own_type in enumerate(model.rival_types):
-            want, greedy, _ = equilibrium.value_iterate(
-                grid, policies[1 - f], config, model, own_type)
-            assert written[k * grid.n_nodes:(k + 1) * grid.n_nodes] == \
-                greedy.as_tuples(config)
-            if own_type == model.firm_types[f]:
+        dyns = equilibrium.build_dynamics(grid, config, model,
+                                          model.rival_types, policies[1 - f])
+        for k, dyn in enumerate(dyns):
+            want, greedy, _ = equilibrium.value_iterate(dyn, config)
+            assert written[k * grid.n_nodes:(k + 1) * grid.n_nodes] == [
+                (config.price_grid[a // n_q], config.quantity_grid[a % n_q])
+                for a in greedy]
+            if k == f:  # firm 1 is low-cost and firm 2 high-cost
                 assert values[:, f].tolist() == want.tolist()
-    assert seen["check"][1] is model
 
 
 def _record_solver_calls(monkeypatch):
     """Wrap ``equilibrium.build_dynamics`` and ``value_iterate``; return the
-    list their calls append ``(name, model, rival pair's action bytes)`` to."""
+    list their calls append ``(name, model, rival pair's bytes)`` to. A solve
+    is keyed by the build that returned the dynamics it was given."""
     calls = []
+    built = {}  # id of a built DiscretizedDynamics -> (its build's call, it)
+    build, solve = equilibrium.build_dynamics, equilibrium.value_iterate
 
-    def recorded(name):
-        fn = getattr(equilibrium, name)
-        signature = inspect.signature(fn)
+    def recorded_build(grid, config, model, own_types, rival_policies):
+        dyns = build(grid, config, model, own_types, rival_policies)
+        call = ("build_dynamics", model,
+                tuple(pol.tobytes() for pol in rival_policies))
+        calls.append(call)
+        # holding each dyn keeps its id from being reused
+        built.update((id(dyn), (call, dyn)) for dyn in dyns)
+        return dyns
 
-        def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs).arguments
-            calls.append((name, bound["model"],
-                          tuple(pol.actions.tobytes()
-                                for pol in bound["rival_policies"])))
-            return fn(*args, **kwargs)
-        return wrapper
+    def recorded_solve(dyn, config, initial=None):
+        (_, model, key), _ = built[id(dyn)]
+        calls.append(("value_iterate", model, key))
+        return solve(dyn, config, initial)
 
-    for name in ("build_dynamics", "value_iterate"):
-        monkeypatch.setattr(equilibrium, name, recorded(name))
+    monkeypatch.setattr(equilibrium, "build_dynamics", recorded_build)
+    monkeypatch.setattr(equilibrium, "value_iterate", recorded_solve)
     return calls
 
 
@@ -491,7 +530,7 @@ def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
 
     def recorded_refresh(grid, config, model, policies, rng):
         new_model = refresh(grid, config, model, policies, rng)
-        refreshes.append(([[pol.actions.tobytes() for pol in pols]
+        refreshes.append(([[pol.tobytes() for pol in pols]
                            for pols in policies], new_model))
         return new_model
 
@@ -505,9 +544,9 @@ def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
     # the policies at the start of each round, and the model it solves under
     n_q = len(config.quantity_grid)
     mid = (len(config.price_grid) - 1) // 2 * n_q + (n_q - 1) // 2
-    start = np.full(len(policies[0][0].actions), mid, dtype=np.int64).tobytes()
+    start = np.full(len(policies[0][0]), mid, dtype=np.int64).tobytes()
     states = ([[[start] * 2] * 2] + [state for state, _ in refreshes]
-              + [[[pol.actions.tobytes() for pol in pols] for pols in policies]])
+              + [[[pol.tobytes() for pol in pols] for pols in policies]])
     models = [prior] + [m for _, m in refreshes]
     assert models[-1] is model
     # round r: firm 1 faces firm 2's policies from before it, firm 2 faces

@@ -11,7 +11,7 @@ from crgame.learning import PosteriorHyper
 from crgame.market import FirmType
 from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 EquilibriumConfig, EquilibriumModel,
-                                GridPolicy, NonConvergenceError, bellman_core,
+                                NonConvergenceError, bellman_core,
                                 build_belief_grid, build_dynamics,
                                 contraction_check, equilibrium_iteration,
                                 myopic_policy, value_iterate)
@@ -24,8 +24,7 @@ HIGH = FirmType(10.0, 0.8, 1.5)
 def make_model():
     hyper = PosteriorHyper(np.array([35.0, -2.0, 0.5, 3.0]),
                            np.diag([100.0, 4.0, 4.0, 16.0]), 3.0, 40.5)
-    return EquilibriumModel(firm_types=(LOW, HIGH), rival_types=(LOW, HIGH),
-                            hyper=hyper)
+    return EquilibriumModel(rival_types=(LOW, HIGH), hyper=hyper)
 
 
 def make_config(**kw):
@@ -147,9 +146,8 @@ def test_bellman_core_matches_explicit_branch_sum_on_model_grid():
     grid = build_belief_grid(config)
     assert grid.n_nodes == 192
     # rival types act differently, so the type belief moves on the branches
-    rivals = (GridPolicy(np.full(grid.n_nodes, 3)),
-              GridPolicy(np.full(grid.n_nodes, 10)))
-    dyn = build_dynamics(grid, config, model, LOW, rivals)
+    rivals = (np.full(grid.n_nodes, 3), np.full(grid.n_nodes, 10))
+    dyn = build_dynamics(grid, config, model, (LOW,), rivals)[0]
     mu_hi = grid.nodes[:, 2]
     type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)
     quad = np.polynomial.hermite.hermgauss(config.quad_points)[1] / np.sqrt(np.pi)
@@ -166,8 +164,8 @@ def test_bellman_core_matches_explicit_branch_sum_on_model_grid():
 def test_build_dynamics_weights_are_a_distribution_per_node():
     config = fine_config()
     grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
-    dyn = build_dynamics(grid, config, make_model(), LOW, (mid, mid))
+    mid = np.full(grid.n_nodes, 7)
+    dyn = build_dynamics(grid, config, make_model(), (LOW,), (mid, mid))[0]
     assert dyn.weights.shape == (grid.n_nodes, 2, config.quad_points)
     assert np.all(dyn.weights >= 0.0)
     np.testing.assert_allclose(dyn.weights.sum(axis=(1, 2)), 1.0, rtol=1e-12)
@@ -180,12 +178,12 @@ def test_two_type_build_equals_single_type_builds(salvage_on):
     grid = build_belief_grid(config)
     rng = rngmod.stream(91, "rivals")
     n_actions = len(config.price_grid) * len(config.quantity_grid)
-    rivals = tuple(GridPolicy(rng.integers(0, n_actions, size=grid.n_nodes))
+    rivals = tuple(rng.integers(0, n_actions, size=grid.n_nodes)
                    for _ in (0, 1))
     both = build_dynamics(grid, config, model, (LOW, HIGH), rivals)
     assert len(both) == 2
     for own_type, dyn in zip((LOW, HIGH), both):
-        single = build_dynamics(grid, config, model, own_type, rivals)
+        single = build_dynamics(grid, config, model, (own_type,), rivals)[0]
         np.testing.assert_array_equal(dyn.reward, single.reward)
         np.testing.assert_array_equal(dyn.next_idx, single.next_idx)
         np.testing.assert_array_equal(dyn.weights, single.weights)
@@ -197,8 +195,7 @@ def test_two_type_build_equals_single_type_builds(salvage_on):
 def random_rivals(config, grid, seed):
     rng = rngmod.stream(seed, "rivals")
     n_actions = len(config.price_grid) * len(config.quantity_grid)
-    return tuple(GridPolicy(rng.integers(0, n_actions, size=grid.n_nodes))
-                 for _ in (0, 1))
+    return tuple(rng.integers(0, n_actions, size=grid.n_nodes) for _ in (0, 1))
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -232,11 +229,11 @@ def test_near_deterministic_reward_is_the_closed_form_expected_profit(salvage_on
     rivals = random_rivals(config, grid, 8)
     m = np.array([35.0, -2.0, 0.5, 3.0])
     model = EquilibriumModel(
-        firm_types=(LOW, HIGH), rival_types=(LOW, HIGH), salvage_on=salvage_on,
+        rival_types=(LOW, HIGH), salvage_on=salvage_on,
         hyper=PosteriorHyper(m, 1e-14 * np.eye(4), 3.0, 40.5, fixed_sd=1e-6))
     n_q = len(config.quantity_grid)
     rival_prices = np.asarray(config.price_grid)[
-        np.stack([pol.actions for pol in rivals], axis=1) // n_q]  # (N, B)
+        np.stack(rivals, axis=1) // n_q]  # (N, B)
     actions = list(itertools.product(config.price_grid, config.quantity_grid))
     for own_type, dyn in zip((LOW, HIGH), build_dynamics(
             grid, config, model, (LOW, HIGH), rivals)):
@@ -254,11 +251,10 @@ def test_contraction_check_on_model_dynamics():
     config = make_config()
     model = make_model()
     grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes,
-                             (len(config.price_grid) *
-                              len(config.quantity_grid)) // 2))
-    report = contraction_check(grid, model, (mid, mid), 50,
-                               rngmod.stream(87, "cc"), config, LOW)
+    mid = np.full(grid.n_nodes,
+                  len(config.price_grid) * len(config.quantity_grid) // 2)
+    dyn = build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
+    report = contraction_check(dyn, config, 50, rngmod.stream(87, "cc"))
     assert report["passed"]
     assert report["max_ratio"] <= config.delta + 1e-9
     assert report["violations"] == []
@@ -270,14 +266,13 @@ def test_value_iteration_unique_fixed_point():
     config = make_config()
     model = make_model()
     grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
+    mid = np.full(grid.n_nodes, 7)
+    dyn = build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
     rng = rngmod.stream(91, "init")
-    v_a, pol_a, diag_a = value_iterate(grid, (mid, mid), config, model, LOW,
-                                       initial=rng.uniform(-500, 500,
-                                                           grid.n_nodes))
-    v_b, pol_b, diag_b = value_iterate(grid, (mid, mid), config, model, LOW,
-                                       initial=rng.uniform(-500, 500,
-                                                           grid.n_nodes))
+    v_a, pol_a, diag_a = value_iterate(
+        dyn, config, initial=rng.uniform(-500, 500, grid.n_nodes))
+    v_b, pol_b, diag_b = value_iterate(
+        dyn, config, initial=rng.uniform(-500, 500, grid.n_nodes))
     tol_bound = 2 * config.tol / (1.0 - config.delta)
     assert np.max(np.abs(v_a - v_b)) < tol_bound
     assert diag_a.converged and diag_b.converged
@@ -286,12 +281,8 @@ def test_value_iteration_unique_fixed_point():
 def test_value_iteration_nonconvergence_raises():
     # toy seed 1 needs two policy iterations and many evaluation sweeps
     config = make_config(max_iter=1)
-    model = make_model()
-    grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
     with pytest.raises(NonConvergenceError) as err:
-        value_iterate(grid, (mid, mid), config, model, LOW,
-                      dyn=toy_dynamics(seed=1))
+        value_iterate(toy_dynamics(seed=1), config)
     assert err.value.diagnostics is not None
 
 
@@ -310,18 +301,16 @@ def reference_value_iteration(dyn, delta, tol, max_sweeps=100_000):
                          ids=lambda s: "model" if s is None else f"toy{s}")
 def test_policy_iteration_matches_value_iteration(toy_seed):
     config = make_config()
-    model = make_model()
-    grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
     if toy_seed is None:
-        dyn = build_dynamics(grid, config, model, model.firm_types[0], (mid, mid))
+        grid = build_belief_grid(config)
+        mid = np.full(grid.n_nodes, 7)
+        dyn = build_dynamics(grid, config, make_model(), (LOW,), (mid, mid))[0]
     else:
         dyn = toy_dynamics(seed=toy_seed)
-    values, pol, diag = value_iterate(grid, (mid, mid), config, model, LOW,
-                                      dyn=dyn)
+    values, pol, diag = value_iterate(dyn, config)
     want_v, want_pol = reference_value_iteration(dyn, config.delta, config.tol)
     assert diag.converged
-    np.testing.assert_array_equal(pol.actions, want_pol)
+    np.testing.assert_array_equal(pol, want_pol)
     bound = config.tol * config.delta / (1.0 - config.delta)
     assert np.max(np.abs(values - want_v)) < bound
 
@@ -330,10 +319,10 @@ def test_delta_zero_value_iteration_is_myopic():
     config = make_config(delta=0.0)
     model = make_model()
     grid = build_belief_grid(config)
-    mid = GridPolicy(np.full(grid.n_nodes, 7))
-    _, greedy, _ = value_iterate(grid, (mid, mid), config, model, LOW)
-    myopic = myopic_policy(grid, (mid, mid), config, model, LOW)
-    np.testing.assert_array_equal(greedy.actions, myopic.actions)
+    mid = np.full(grid.n_nodes, 7)
+    dyn = build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
+    _, greedy, _ = value_iterate(dyn, config)
+    np.testing.assert_array_equal(greedy, myopic_policy(dyn))
 
 
 # ------------------------------------------------------- equilibrium search
@@ -350,9 +339,10 @@ def test_equilibrium_iteration_converges_and_is_mutual_best_response():
     # at convergence each per-type policy is greedy against the rival's pair,
     # and the returned values are that best response's
     for firm, own_pols, rival_pols in ((0, pol1, pol2), (1, pol2, pol1)):
-        for k, ft in enumerate(model.rival_types):
-            want, greedy, _ = value_iterate(grid, rival_pols, config, model, ft)
-            np.testing.assert_array_equal(own_pols[k].actions, greedy.actions)
+        for k, dyn in enumerate(build_dynamics(grid, config, model,
+                                               model.rival_types, rival_pols)):
+            want, greedy, _ = value_iterate(dyn, config)
+            np.testing.assert_array_equal(own_pols[k], greedy)
             np.testing.assert_array_equal(values[firm][k], want)
 
 
@@ -364,9 +354,9 @@ def test_equilibrium_delta_zero_matches_myopic_tables():
     assert diag.converged
     grid = build_belief_grid(config)
     for own_pols, rival_pols in ((pol1, pol2), (pol2, pol1)):
-        for k, ft in enumerate(model.rival_types):
-            want = myopic_policy(grid, rival_pols, config, model, ft)
-            np.testing.assert_array_equal(own_pols[k].actions, want.actions)
+        for k, dyn in enumerate(build_dynamics(grid, config, model,
+                                               model.rival_types, rival_pols)):
+            np.testing.assert_array_equal(own_pols[k], myopic_policy(dyn))
 
 
 # ------------------------------------------------------------------- guards
@@ -374,6 +364,9 @@ def test_equilibrium_delta_zero_matches_myopic_tables():
 def test_grid_axes_validation():
     with pytest.raises(ValueError):
         make_config(inventory_axis=(10.0, 0.0))
+    for bad in ((-0.5, 0.5, 1.0), (0.0, 0.5, 1.5)):
+        with pytest.raises(ValueError, match="belief_axis"):
+            make_config(belief_axis=bad)
     with pytest.raises(ValueError):
         make_config(delta=1.0)
     for bad in (dict(tol=0.0), dict(tol=-1e-6), dict(max_iter=0)):
