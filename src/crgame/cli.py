@@ -9,9 +9,9 @@ byte-identical trees. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, equilibrium, rng as rngmod
 from .learning import TypeBelief
-from .market import SALVAGE_MODES, DemandParams, salvage_credited
-from .equilibrium import (EquilibriumConfig, EquilibriumModel,
+from .market import SALVAGE_MODES, ActionGrid, DemandParams, salvage_credited
+from .equilibrium import (FIRM_TYPES, EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
                           contraction_check, equilibrium_iteration)
 from .equilibrium import value_iterate  # noqa: F401  (perfbench traces cli.value_iterate)
@@ -76,11 +76,11 @@ def config_hash(config_dict: dict) -> str:
 
 SIM_DEFAULTS = {**dataclasses.asdict(SimConfig()), "policies": list(POLICIES)}
 
-# the action grids come from the simulation section; node_budget is a guard
+# the action grid comes from the simulation section; node_budget is a guard
 # of the solver, not a setting of the study
 EQ_DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(EquilibriumConfig)
-       if f.name not in ("price_grid", "quantity_grid", "node_budget")},
+       if f.name not in ("actions", "node_budget")},
     "contraction_trials": 100,
 }
 
@@ -181,9 +181,9 @@ def _objective_surface_rows(config: SimConfig):
     surf_rng = rngmod.stream(config.master_seed, "objective-surface")
     _, (means, sds, scores) = select_action(state, pcfg, "proposed-credible-risk",
                                             surf_rng)
-    actions = itertools.product(pcfg.price_grid, pcfg.quantity_grid)
-    for (price, qty), mean, sd, score in zip(actions, means, sds, scores):
-        yield (float(price), float(qty), mean, sd, score)
+    for k, (mean, sd, score) in enumerate(zip(means, sds, scores)):
+        action = pcfg.actions.action(k)
+        yield (action.price, action.quantity, mean, sd, score)
 
 
 def cmd_simulate(args) -> int:
@@ -235,13 +235,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
-                            relative, bootstrap, epoch):
-    # stage into a temp dir so a failed run never leaves partial outputs
+@contextlib.contextmanager
+def _staged(out_dir):
+    """Yield a fresh directory beside ``out_dir`` that replaces it whole when
+    the block succeeds; a failed write leaves neither a partial tree nor the
+    staging directory behind."""
     parent = os.path.dirname(os.path.abspath(out_dir)) or "."
     os.makedirs(parent, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".crgame-stage-", dir=parent)
     try:
+        yield stage
+        if os.path.isdir(out_dir):
+            shutil.rmtree(out_dir)
+        os.replace(stage, out_dir)
+        stage = None
+    finally:
+        if stage is not None and os.path.isdir(stage):
+            shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
+                            relative, bootstrap, epoch):
+    with _staged(out_dir) as stage:
         curves_dir = os.path.join(stage, "curves")
         os.makedirs(curves_dir)
 
@@ -299,22 +314,13 @@ def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
             "outputs": outputs + ["manifest.json"],
         })
 
-        if os.path.isdir(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(stage, out_dir)
-        stage = None
-    finally:
-        if stage is not None and os.path.isdir(stage):
-            shutil.rmtree(stage, ignore_errors=True)
-
 
 # --------------------------------------------------------------- equilibrium
 
 def build_eq_inputs(cfg: dict):
     sim = build_sim_config(cfg)
     eq_config = _build(EquilibriumConfig, "equilibrium", cfg["equilibrium"],
-                       price_grid=sim.price_grid,
-                       quantity_grid=sim.quantity_grid)
+                       actions=ActionGrid(sim.price_grid, sim.quantity_grid))
     low = sim.firm_type(sim.cost_low)
     high = sim.firm_type(sim.cost_high)
     # build_dynamics follows the prior's noise convention; the solve is held
@@ -347,45 +353,40 @@ def cmd_equilibrium(args) -> int:
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    # firm 1 is low-cost and firm 2 high-cost: each firm's values as its
-    # actual type, from the iteration's last round
-    value1, value2 = values[0][0], values[1][1]
+    # each firm's values as the type it plays, from the iteration's last round
+    value1, value2 = (values[f][k] for f, k in enumerate(FIRM_TYPES))
 
     # firm 1's Bellman operator against firm 2's policies, under the solved model
     check_rng = rngmod.stream(sim.master_seed, "contraction")
     report = contraction_check(
         equilibrium.build_dynamics(grid, eq_config, model,
-                                   (model.rival_types[0],), pol2)[0],
+                                   (model.rival_types[FIRM_TYPES[0]],), pol2)[0],
         eq_config, trials, check_rng)
 
     try:
-        os.makedirs(args.out, exist_ok=True)
-        type_names = ("low-cost", "high-cost")
-        n_q = len(eq_config.quantity_grid)
-        for firm, pols in (("firm1", pol1), ("firm2", pol2)):
-            rows = []
-            for k, pol in enumerate(pols):
-                for n, a in enumerate(pol):
-                    inv, m0, mu = grid.nodes[n]
-                    rows.append((type_names[k], inv, m0, mu,
-                                 eq_config.price_grid[a // n_q],
-                                 eq_config.quantity_grid[a % n_q]))
-            write_csv(os.path.join(args.out, f"policy_{firm}.csv"),
-                      ["own_type", "inventory", "intercept_mean",
-                       "rival_high_cost_prob", "price", "quantity"], rows)
-        rows = []
-        for n in range(grid.n_nodes):
-            inv, m0, mu = grid.nodes[n]
-            rows.append((inv, m0, mu, value1[n], value2[n]))
-        write_csv(os.path.join(args.out, "values.csv"),
-                  ["inventory", "intercept_mean", "rival_high_cost_prob",
-                   "value_firm1", "value_firm2"], rows)
-        write_json(os.path.join(args.out, "diagnostics.json"), {
-            "converged": diag.converged,
-            "sup_norm_deltas": list(diag.sup_norm_deltas),
-            "policy_change_counts": list(diag.policy_change_counts),
-        })
-        write_json(os.path.join(args.out, "contraction.json"), report)
+        with _staged(args.out) as stage:
+            type_names = ("low-cost", "high-cost")
+            for firm, pols in (("firm1", pol1), ("firm2", pol2)):
+                rows = []
+                for k, pol in enumerate(pols):
+                    for n, a in enumerate(pol):
+                        action = eq_config.actions.action(a)
+                        rows.append((type_names[k], *grid.nodes[n],
+                                     action.price, action.quantity))
+                write_csv(os.path.join(stage, f"policy_{firm}.csv"),
+                          ["own_type", "inventory", "intercept_mean",
+                           "rival_high_cost_prob", "price", "quantity"], rows)
+            rows = [(*node, v1, v2)
+                    for node, v1, v2 in zip(grid.nodes, value1, value2)]
+            write_csv(os.path.join(stage, "values.csv"),
+                      ["inventory", "intercept_mean", "rival_high_cost_prob",
+                       "value_firm1", "value_firm2"], rows)
+            write_json(os.path.join(stage, "diagnostics.json"), {
+                "converged": diag.converged,
+                "sup_norm_deltas": list(diag.sup_norm_deltas),
+                "policy_change_counts": list(diag.policy_change_counts),
+            })
+            write_json(os.path.join(stage, "contraction.json"), report)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

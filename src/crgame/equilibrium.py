@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .learning import PosteriorHyper, conjugate_update
-from .market import period_profit
+from .market import ActionGrid, period_profit
 
 __all__ = [
+    "FIRM_TYPES",
     "EquilibriumConfig",
     "EquilibriumModel",
     "BeliefGrid",
@@ -33,6 +34,11 @@ __all__ = [
     "contraction_check",
     "myopic_policy",
 ]
+
+
+# the own type each firm plays, as an index into ``rival_types``: firm 1 is
+# low-cost and firm 2 high-cost
+FIRM_TYPES = (0, 1)
 
 
 class NonConvergenceError(RuntimeError):
@@ -51,8 +57,7 @@ class EquilibriumConfig:
     ``sweep_cap`` bounds the rounds of alternating best responses.
     """
 
-    price_grid: tuple
-    quantity_grid: tuple
+    actions: ActionGrid
     inventory_axis: tuple = (0.0, 10.0, 20.0, 30.0)
     intercept_axis: tuple = (30.0, 37.5, 45.0, 52.5)
     belief_axis: tuple = (0.0, 0.5, 1.0)
@@ -107,6 +112,13 @@ class BeliefGrid:
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
+
+    def locate(self, inv, m0, mu):
+        """Index of the node nearest (inv, m0, mu), projected axis by axis;
+        the coordinates broadcast, so arrays give an array of indices."""
+        return ((_project(self.inv_axis, inv) * self.m0_axis.size
+                 + _project(self.m0_axis, m0)) * self.mu_axis.size
+                + _project(self.mu_axis, mu))
 
 
 @dataclass
@@ -177,9 +189,8 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     depend only on the rival, so the types share them; each type's reward is
     computed exactly as a single-type build computes it.
     """
-    prices = np.asarray(config.price_grid, dtype=float)
-    quants = np.asarray(config.quantity_grid, dtype=float)
-    n_q = quants.size
+    prices = np.asarray(config.actions.prices, dtype=float)
+    quants = np.asarray(config.actions.quantities, dtype=float)
     zq, wq = _hermite_rule(config.quad_points)
     n_nodes = grid.n_nodes
     hyper, coef, S = model.hyper, model.hyper.m, model.hyper.S
@@ -190,16 +201,16 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     w_joint = weights[:, None]                                         # (N, 1, B, K)
 
     rival_actions = np.stack(rival_policies, axis=1)                  # (N, B)
-    rp = prices[rival_actions // n_q]  # (N, B) rival price per node/type
+    rp = config.actions.price(rival_actions)  # (N, B) rival price per node/type
     # a separating rival reveals its type; a pooling one leaves the belief
     separating = (rival_actions[:, 0] != rival_actions[:, 1])[:, None]
-    mu_next = np.where(separating, np.array([0.0, 1.0]), mu_hi[:, None])
-    i_mu = _project(grid.mu_axis, mu_next)[:, None, :, None]           # (N, 1, B, 1)
+    mu_next = np.where(separating, np.array([0.0, 1.0]),
+                       mu_hi[:, None])[:, None, :, None]               # (N, 1, B, 1)
 
     stock = (inv[:, None] + quants[None, :])[:, :, None, None]         # (N, Q, 1, 1)
 
-    rewards = [np.empty((n_nodes, prices.size, n_q)) for _ in own_types]
-    next_idx = np.empty((n_nodes, prices.size, n_q, 2, zq.size), dtype=np.int64)
+    rewards = [np.empty((n_nodes, prices.size, quants.size)) for _ in own_types]
+    next_idx = np.empty((n_nodes, prices.size, quants.size, 2, zq.size), dtype=np.int64)
     for ip, p in enumerate(prices):
         # predictive demand; the lagged rival stockout is frozen at 0, and
         # the sd includes the frozen coefficient uncertainty
@@ -211,7 +222,6 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
         demand = x_mean[:, :, None] + sd_pred[:, :, None] * zq         # (N, B, K)
         gains = (x_cov @ S)[:, :, 0] / hyper.update_denom(quad_form)
         m0_next = m0[:, None, None] + gains[:, :, None] * (demand - x_mean[:, :, None])
-        i_m0 = _project(grid.m0_axis, m0_next)[:, None]                # (N, 1, B, K)
 
         sales = np.clip(demand[:, None], 0.0, stock)                   # (N, Q, B, K)
         left = stock - sales
@@ -221,8 +231,7 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
             mean = (w_joint * prof).sum(axis=(2, 3))
             var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
             reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
-        next_idx[:, ip] = ((_project(grid.inv_axis, left) * grid.m0_axis.size
-                            + i_m0) * grid.mu_axis.size + i_mu)
+        next_idx[:, ip] = grid.locate(left, m0_next[:, None], mu_next)
 
     next_idx = next_idx.reshape(n_nodes, -1, 2, zq.size)
     return tuple(DiscretizedDynamics(reward.reshape(n_nodes, -1), next_idx, weights)
@@ -329,8 +338,7 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
         raise ValueError("refresh_trajectories > 0 needs an rng to draw "
                          "trajectories from")
     grid = build_belief_grid(config)
-    mid = (len(config.price_grid) - 1) // 2 * len(config.quantity_grid) \
-        + (len(config.quantity_grid) - 1) // 2
+    mid = config.actions.index(config.actions.midpoint)
     policies = [[np.full(grid.n_nodes, mid, dtype=np.int64)] * 2 for _ in (0, 1)]
     values = [[None, None], [None, None]]
     diag = IterationDiagnostics()
@@ -373,14 +381,13 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
                    model: EquilibriumModel, policies, rng) -> EquilibriumModel:
     """Simulate short play paths and refreeze the grid's hyperparameters.
 
-    Trajectories are generated from the current greedy policies with the
-    node posterior mean as ground truth; the posterior after
-    ``refresh_horizon`` observations (averaged over trajectories) replaces
-    the frozen scale/shape/rate and non-intercept means.
+    Trajectories are generated from the current greedy policies of the types
+    the firms play (``FIRM_TYPES``) with the node posterior mean as ground
+    truth; the posterior after ``refresh_horizon`` observations (averaged
+    over trajectories) replaces the frozen scale/shape/rate and non-intercept
+    means.
     """
-    prices = np.asarray(config.price_grid, dtype=float)
-    quants = np.asarray(config.quantity_grid, dtype=float)
-    n_q = quants.size
+    own_policy, rival_policy = (policies[f][k] for f, k in enumerate(FIRM_TYPES))
     sigma = model.hyper.noise_sd()
     acc_S = np.zeros_like(model.hyper.S)
     acc_m = np.zeros_like(model.hyper.m)
@@ -390,18 +397,13 @@ def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,
         hyper = model.hyper.copy()
         node = int(rng.integers(grid.n_nodes))
         for _ in range(config.refresh_horizon):
-            a0 = policies[0][0][node]
-            a1 = policies[1][0][node]
-            p_own, q_own = prices[a0 // n_q], quants[a0 % n_q]
-            p_riv = prices[a1 // n_q]
-            x = np.array([1.0, p_own, p_riv, 0.0])
+            own = config.actions.action(own_policy[node])
+            x = np.array([1.0, own.price,
+                          config.actions.price(rival_policy[node]), 0.0])
             demand = float(x @ hyper.m) + sigma * rng.standard_normal()
             hyper = conjugate_update(hyper, x, demand)
-            inv_next = max(grid.nodes[node, 0] + q_own - max(demand, 0.0), 0.0)
-            i_inv = int(_project(grid.inv_axis, np.array([inv_next]))[0])
-            i_m0 = int(_project(grid.m0_axis, np.array([hyper.m[0]]))[0])
-            i_mu = int(_project(grid.mu_axis, np.array([grid.nodes[node, 2]]))[0])
-            node = (i_inv * grid.m0_axis.size + i_m0) * grid.mu_axis.size + i_mu
+            inv_next = max(grid.nodes[node, 0] + own.quantity - max(demand, 0.0), 0.0)
+            node = int(grid.locate(inv_next, hyper.m[0], grid.nodes[node, 2]))
         acc_S += hyper.S
         acc_m += hyper.m
         acc_a += hyper.a

@@ -17,6 +17,7 @@ __all__ = [
     "DemandParams",
     "MarketState",
     "Action",
+    "ActionGrid",
     "PeriodOutcome",
     "latent_demand",
     "censor_sales",
@@ -74,6 +75,44 @@ class DemandParams:
 class Action:
     quantity: float
     price: float
+
+
+@dataclass(frozen=True)
+class ActionGrid:
+    """Price x quantity grid. Its flat index is price-major, ``i_price * Q +
+    i_quantity``: the order the grid kernel, closed forms and solver flatten
+    their (P, Q) scores in, so argmax ties go to the lower price, then quantity."""
+
+    prices: tuple
+    quantities: tuple
+
+    def __post_init__(self):
+        for grid in (self.prices, self.quantities):
+            if len(grid) == 0:
+                raise ValueError("action grids must be nonempty")
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ValueError("action grids must be strictly increasing")
+        if self.quantities[0] < 0:
+            raise ValueError("order quantities in quantity_grid must be nonnegative")
+
+    def action(self, k) -> Action:
+        i_p, i_q = divmod(int(k), len(self.quantities))
+        return Action(quantity=float(self.quantities[i_q]),
+                      price=float(self.prices[i_p]))
+
+    def index(self, action: Action) -> int:
+        return (self.prices.index(action.price) * len(self.quantities)
+                + self.quantities.index(action.quantity))
+
+    def price(self, k):
+        """Price of flat index ``k``, elementwise when ``k`` is an int array."""
+        return np.take(self.prices, np.asarray(k) // len(self.quantities))
+
+    @property
+    def midpoint(self) -> Action:
+        """The grid centre, ties toward the lower price and quantity."""
+        return self.action((len(self.prices) - 1) // 2 * len(self.quantities)
+                           + (len(self.quantities) - 1) // 2)
 
 
 @dataclass(frozen=True)

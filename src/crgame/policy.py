@@ -15,7 +15,8 @@ import numpy as np
 
 from . import kernels
 from .learning import PosteriorHyper, TypeBelief
-from .market import Action, FirmType, period_profit, salvage_credited
+from .market import (Action, ActionGrid, FirmType, period_profit,
+                     salvage_credited)
 
 __all__ = [
     "POLICIES",
@@ -55,8 +56,7 @@ class BeliefState:
 class PolicyConfig:
     """Per-decision settings; ``SimConfig.policy_config`` builds the study's."""
 
-    price_grid: tuple
-    quantity_grid: tuple
+    actions: ActionGrid
     kappa: float
     predictive_samples: int
     salvage_mode: str
@@ -68,13 +68,6 @@ class PolicyConfig:
             raise ValueError("kappa must be nonnegative")
         if self.predictive_samples < 2:
             raise ValueError("predictive_samples must be >= 2")
-        for grid in (self.price_grid, self.quantity_grid):
-            if len(grid) == 0:
-                raise ValueError("action grids must be nonempty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("action grids must be strictly increasing")
-        if self.quantity_grid[0] < 0:
-            raise ValueError("order quantities in quantity_grid must be nonnegative")
         salvage_credited(self.salvage_mode)  # raises on an unknown mode
         if self.rival_forecast not in RIVAL_FORECAST_RULES:
             raise ValueError(f"unknown rival forecast rule {self.rival_forecast!r}")
@@ -117,13 +110,6 @@ def expected_profit_closed_form(demand_mean, sigma, quantity, price,
                                firm_type, salvage_on))
 
 
-def _midpoint_action(config: PolicyConfig) -> Action:
-    # ties toward the lower index
-    q = config.quantity_grid[(len(config.quantity_grid) - 1) // 2]
-    p = config.price_grid[(len(config.price_grid) - 1) // 2]
-    return Action(quantity=float(q), price=float(p))
-
-
 def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
     """Predict the rival's current action.
 
@@ -134,22 +120,15 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
     """
     if config.rival_forecast == "type-weighted":
         posterior = state.demand_posterior
-        own_last = _midpoint_action(config)  # the rival's view of us, absent history
+        own_last = config.actions.midpoint  # the rival's view of us, absent history
         tables = _closed_form_grid_scores(posterior.m, posterior.noise_sd(),
                                           config, own_last.price,
                                           config.rival_types)
         total = (state.rival_type_belief.probs[:, None] * tables).sum(axis=0)
-        k = int(np.argmax(total))
-        return _grid_action(config, k)
+        return config.actions.action(np.argmax(total))
     if state.last_rival_action is not None:
         return state.last_rival_action
-    return _midpoint_action(config)
-
-
-def _grid_action(config: PolicyConfig, flat_index: int) -> Action:
-    n_q = len(config.quantity_grid)
-    return Action(quantity=float(config.quantity_grid[flat_index % n_q]),
-                  price=float(config.price_grid[flat_index // n_q]))
+    return config.actions.midpoint
 
 
 def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
@@ -163,8 +142,8 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
     ``expected_profit_closed_form`` operation for operation, so each cell
     equals the scalar closed form exactly.
     """
-    prices = np.asarray(config.price_grid, dtype=float)[:, None]      # (P, 1)
-    quantities = np.asarray(config.quantity_grid, dtype=float)[None, :]  # (1, Q)
+    prices = np.asarray(config.actions.prices, dtype=float)[:, None]   # (P, 1)
+    quantities = np.asarray(config.actions.quantities, dtype=float)[None, :]  # (1, Q)
     salvage_on = salvage_credited(config.salvage_mode)
     mu = (coef_mean[0] + coef_mean[1] * prices + coef_mean[2] * rival_price
           + coef_mean[3] * (1.0 if rival_stockout else 0.0))
@@ -197,7 +176,7 @@ def static_prior_scores(prior: PosteriorHyper, config: PolicyConfig,
     Deliberately ignores inventory and history (rival forecast pinned to the
     grid midpoint) so the heuristic's choice is constant within a replication.
     """
-    rival_price = _midpoint_action(config).price
+    rival_price = config.actions.midpoint.price
     return _closed_form_grid_scores(prior.m, prior.noise_sd(), config,
                                     rival_price, (firm_type,))[0]
 
@@ -228,8 +207,8 @@ def select_action(state: BeliefState, config: PolicyConfig, policy: str,
         coef, sig, z = predictive_draws(state.demand_posterior,
                                         config.predictive_samples, rng)
         means, sds = kernels.profit_moments_grid(
-            coef, sig, z, config.price_grid, config.quantity_grid,
+            coef, sig, z, config.actions.prices, config.actions.quantities,
             state.inventory, rival.price, state.last_rival_stockout,
             state.own_type, salvage_credited(config.salvage_mode))
     scores = means - kappa * sds
-    return _grid_action(config, int(np.argmax(scores))), (means, sds, scores)
+    return config.actions.action(np.argmax(scores)), (means, sds, scores)

@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .learning import (ObservationRecord, PosteriorHyper, TypeBelief,
                        online_update, posterior_mse, update_type_belief)
-from .market import (Action, DemandParams, FirmType, MarketState,
+from .market import (Action, ActionGrid, DemandParams, FirmType, MarketState,
                      covariate_vector, simulate_period)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      _closed_form_grid_scores, select_action)
@@ -83,10 +83,14 @@ class SimConfig:
             raise ValueError("high_cost_prob must be two probabilities in [0, 1]")
         if not len(self.prior_mean) == len(self.prior_sd) == 4:
             raise ValueError("prior_mean and prior_sd need 4 entries each")
+        if not all(sd > 0 for sd in self.prior_sd):
+            raise ValueError("prior_sd entries must be positive")
         if not self.prior_a > 1.0:
             raise ValueError("prior_a must exceed 1")
         if not self.type_likelihood_temperature > 0.0:
             raise ValueError("type_likelihood_temperature must be positive")
+        if self.bootstrap_resamples < 1:
+            raise ValueError("bootstrap_resamples must be >= 1")
         if not 0.0 < self.bootstrap_level < 1.0:
             raise ValueError("bootstrap_level must lie in (0, 1)")
         # build once what every replication builds, so their checks run now
@@ -110,7 +114,7 @@ class SimConfig:
 
     def policy_config(self) -> PolicyConfig:
         return PolicyConfig(
-            price_grid=self.price_grid, quantity_grid=self.quantity_grid,
+            actions=ActionGrid(self.price_grid, self.quantity_grid),
             kappa=self.kappa,
             predictive_samples=self.predictive_samples,
             salvage_mode=self.salvage_mode, rival_forecast=self.rival_forecast,
@@ -187,8 +191,7 @@ def _rival_action_model(pcfg: PolicyConfig, temperature: float,
     logits = scores / temperature
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
-    k = (pcfg.price_grid.index(rival_action.price) * len(pcfg.quantity_grid)
-         + pcfg.quantity_grid.index(rival_action.quantity))
+    k = pcfg.actions.index(rival_action)
     return weights[:, k] / weights.sum(axis=1)
 
 

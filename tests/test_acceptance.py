@@ -21,7 +21,7 @@ from crgame.equilibrium import (EquilibriumConfig, EquilibriumModel,
 from crgame.learning import (PosteriorHyper, TypeBelief,
                              batch_conjugate_posterior, gibbs_refresh,
                              posterior_mse, truncated_normal_lower)
-from crgame.market import Action, DemandParams, FirmType
+from crgame.market import Action, ActionGrid, DemandParams, FirmType
 from crgame.policy import (BeliefState, PolicyConfig,
                            expected_sales_floored, select_action)
 from crgame.simharness import (SimConfig, bootstrap_diff,
@@ -236,8 +236,8 @@ def eq_config(**kw):
     base = dict(inventory_axis=(0.0, 10.0, 20.0, 30.0),
                 intercept_axis=(30.0, 38.0, 46.0, 54.0),
                 belief_axis=(0.0, 0.5, 1.0),
-                price_grid=(8.0, 10.0, 12.0, 14.0, 16.0),
-                quantity_grid=(20.0, 35.0, 50.0, 65.0),
+                actions=ActionGrid((8.0, 10.0, 12.0, 14.0, 16.0),
+                                   (20.0, 35.0, 50.0, 65.0)),
                 delta=0.98, quad_points=8, tol=1e-7, max_iter=6000)
     base.update(kw)
     return EquilibriumConfig(**base)
@@ -312,9 +312,9 @@ def test_criterion_9b_zero_kappa_equals_risk_neutral():
     must pick the risk-neutral action at every belief state. Checked on 1000
     randomly perturbed states with identical predictive-draw streams.
     """
-    config = PolicyConfig(price_grid=tuple(float(p) for p in range(8, 17)),
-                          quantity_grid=tuple(float(q)
-                                              for q in range(20, 70, 5)),
+    config = PolicyConfig(actions=ActionGrid(
+                              tuple(float(p) for p in range(8, 17)),
+                              tuple(float(q) for q in range(20, 70, 5))),
                           kappa=0.0, predictive_samples=200,
                           salvage_mode="per-period",
                           rival_forecast="last-action")
@@ -323,8 +323,8 @@ def test_criterion_9b_zero_kappa_equals_risk_neutral():
         m = PRIOR_MEAN + state_rng.normal(0.0, [5.0, 1.0, 1.0, 2.0])
         hyper = PosteriorHyper(m, PRIOR_COV.copy(), 3.0, 40.5, 4.5)
         belief = TypeBelief(np.array([0.5, 0.5]))
-        last = (Action(float(state_rng.choice(config.quantity_grid)),
-                       float(state_rng.choice(config.price_grid)))
+        last = (Action(float(state_rng.choice(config.actions.quantities)),
+                       float(state_rng.choice(config.actions.prices)))
                 if k % 3 else None)
         state = BeliefState(inventory=float(state_rng.uniform(0, 30)),
                             own_type=LOW if k % 2 else HIGH,

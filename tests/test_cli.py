@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from crgame import cli, equilibrium
-from crgame.equilibrium import EquilibriumConfig, NonConvergenceError
+from crgame.equilibrium import (FIRM_TYPES, EquilibriumConfig,
+                                NonConvergenceError)
+from crgame.market import ActionGrid
 from crgame.simharness import SimConfig
 
 FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
@@ -149,6 +151,12 @@ BAD_VALUES = [
     _bad("simulate", {"simulation": {"holding": -1}}, "holding"),
     _bad("simulate", {"simulation": {"salvage_mode": "never"}}, "salvage mode"),
     _bad("simulate", {"simulation": {"prior_sd": [1, 2, 3]}}, "prior_sd"),
+    _bad("simulate", {"simulation": {"prior_sd": [10, -2, 2, 4]}}, "prior_sd",
+         suffix="=negative"),
+    _bad("simulate", {"simulation": {"prior_sd": [10, 2, 0, 4]}}, "prior_sd",
+         suffix="=zero"),
+    _bad("simulate", {"simulation": {"bootstrap_resamples": 0}},
+         "bootstrap_resamples"),
     _bad("simulate", {}, "kappa", flags=("--kappa", "-1")),
     _bad("simulate", {"simulation": {"bootstrap_level": 7}}, "bootstrap_level"),
     _bad("simulate", {"simulation": {"type_likelihood_temperature": 0}},
@@ -346,6 +354,33 @@ def test_equilibrium_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(out)
 
 
+EQUILIBRIUM_FILES = ["contraction.json", "diagnostics.json", "policy_firm1.csv",
+                     "policy_firm2.csv", "values.csv"]
+
+
+def test_equilibrium_replaces_its_out_dir_whole(tmp_path, monkeypatch):
+    out = tmp_path / "eq"
+    out.mkdir()
+    (out / "old.csv").write_text("stale\n")
+    write_json = cli.write_json
+
+    def failing_write_json(path, obj):
+        if os.path.basename(path) == "contraction.json":
+            raise OSError("disk full")
+        write_json(path, obj)
+
+    # a write that fails leaves the old tree as it was and no staging dir
+    monkeypatch.setattr(cli, "write_json", failing_write_json)
+    assert run_cli(["equilibrium", "--out", str(out)]) == cli.EXIT_IO
+    assert sorted(os.listdir(tmp_path)) == ["eq"]
+    assert sorted(os.listdir(out)) == ["old.csv"]
+    # a run that succeeds replaces it, so the stale file is gone
+    monkeypatch.setattr(cli, "write_json", write_json)
+    assert run_cli(["equilibrium", "--out", str(out)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["eq"]
+    assert sorted(os.listdir(out)) == EQUILIBRIUM_FILES
+
+
 # ------------------------------------------------------------ reproducibility
 
 def test_same_seed_same_bytes(tmp_path, monkeypatch):
@@ -378,8 +413,8 @@ def test_default_config_builds_the_dataclass_defaults():
     cfg = cli.load_config(None, {})
     assert cli.build_sim_config(cfg) == SimConfig()
     eq_config, _, sim = cli.build_eq_inputs(cfg)
-    assert eq_config == EquilibriumConfig(price_grid=sim.price_grid,
-                                          quantity_grid=sim.quantity_grid)
+    assert eq_config == EquilibriumConfig(
+        actions=ActionGrid(sim.price_grid, sim.quantity_grid))
 
 
 def _traced_equilibrium(tmp_path, monkeypatch, config=None):
@@ -458,7 +493,6 @@ def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
     grid = equilibrium.build_belief_grid(config)
     values = np.array([[float(v) for v in row[3:]]
                        for row in _read_rows(out / "values.csv")])
-    n_q = len(config.quantity_grid)
     for f, name in enumerate(("firm1", "firm2")):
         written = [(float(r[4]), float(r[5]))
                    for r in _read_rows(out / f"policy_{name}.csv")]
@@ -467,9 +501,9 @@ def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
         for k, dyn in enumerate(dyns):
             want, greedy, _ = equilibrium.value_iterate(dyn, config)
             assert written[k * grid.n_nodes:(k + 1) * grid.n_nodes] == [
-                (config.price_grid[a // n_q], config.quantity_grid[a % n_q])
-                for a in greedy]
-            if k == f:  # firm 1 is low-cost and firm 2 high-cost
+                (action.price, action.quantity)
+                for action in map(config.actions.action, greedy)]
+            if k == FIRM_TYPES[f]:  # the type firm f plays
                 assert values[:, f].tolist() == want.tolist()
 
 
@@ -542,8 +576,7 @@ def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
     rounds = len(diag.policy_change_counts)
     assert diag.converged and len(refreshes) == rounds - 1 >= 2
     # the policies at the start of each round, and the model it solves under
-    n_q = len(config.quantity_grid)
-    mid = (len(config.price_grid) - 1) // 2 * n_q + (n_q - 1) // 2
+    mid = config.actions.index(config.actions.midpoint)
     start = np.full(len(policies[0][0]), mid, dtype=np.int64).tobytes()
     states = ([[[start] * 2] * 2] + [state for state, _ in refreshes]
               + [[[pol.tobytes() for pol in pols] for pols in policies]])

@@ -1,20 +1,19 @@
 """Belief-grid solver: Bellman operator, contraction, fixed points, best response."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 from crgame import rng as rngmod
 from crgame.learning import PosteriorHyper
-from crgame.market import FirmType
+from crgame.market import Action, ActionGrid, FirmType
 from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 EquilibriumConfig, EquilibriumModel,
                                 NonConvergenceError, bellman_core,
                                 build_belief_grid, build_dynamics,
                                 contraction_check, equilibrium_iteration,
-                                myopic_policy, value_iterate)
+                                myopic_policy, value_iterate, _refresh_hyper)
 from crgame.policy import expected_profit_closed_form
 
 LOW = FirmType(6.0, 0.8, 1.5)
@@ -31,8 +30,8 @@ def make_config(**kw):
     base = dict(inventory_axis=(0.0, 10.0, 20.0),
                 intercept_axis=(30.0, 40.0, 50.0),
                 belief_axis=(0.0, 0.5, 1.0),
-                price_grid=(8.0, 10.0, 12.0, 14.0, 16.0),
-                quantity_grid=(20.0, 30.0, 40.0),
+                actions=ActionGrid((8.0, 10.0, 12.0, 14.0, 16.0),
+                                   (20.0, 30.0, 40.0)),
                 delta=0.9, quad_points=4, tol=1e-8, max_iter=4000)
     base.update(kw)
     return EquilibriumConfig(**base)
@@ -161,6 +160,14 @@ def test_bellman_core_matches_explicit_branch_sum_on_model_grid():
         np.testing.assert_array_equal(got_g, want_g)
 
 
+def test_locate_maps_each_node_to_itself():
+    grid = build_belief_grid(fine_config())
+    np.testing.assert_array_equal(grid.locate(*grid.nodes.T),
+                                  np.arange(grid.n_nodes))
+    for n, (inv, m0, mu) in enumerate(grid.nodes):
+        assert grid.locate(inv, m0, mu) == n
+
+
 def test_build_dynamics_weights_are_a_distribution_per_node():
     config = fine_config()
     grid = build_belief_grid(config)
@@ -176,10 +183,7 @@ def test_two_type_build_equals_single_type_builds(salvage_on):
     config = fine_config()
     model = dataclasses.replace(make_model(), salvage_on=salvage_on)
     grid = build_belief_grid(config)
-    rng = rngmod.stream(91, "rivals")
-    n_actions = len(config.price_grid) * len(config.quantity_grid)
-    rivals = tuple(rng.integers(0, n_actions, size=grid.n_nodes)
-                   for _ in (0, 1))
+    rivals = random_rivals(config, grid, 91)
     both = build_dynamics(grid, config, model, (LOW, HIGH), rivals)
     assert len(both) == 2
     for own_type, dyn in zip((LOW, HIGH), both):
@@ -194,7 +198,7 @@ def test_two_type_build_equals_single_type_builds(salvage_on):
 
 def random_rivals(config, grid, seed):
     rng = rngmod.stream(seed, "rivals")
-    n_actions = len(config.price_grid) * len(config.quantity_grid)
+    n_actions = len(config.actions.prices) * len(config.actions.quantities)
     return tuple(rng.integers(0, n_actions, size=grid.n_nodes) for _ in (0, 1))
 
 
@@ -231,10 +235,10 @@ def test_near_deterministic_reward_is_the_closed_form_expected_profit(salvage_on
     model = EquilibriumModel(
         rival_types=(LOW, HIGH), salvage_on=salvage_on,
         hyper=PosteriorHyper(m, 1e-14 * np.eye(4), 3.0, 40.5, fixed_sd=1e-6))
-    n_q = len(config.quantity_grid)
-    rival_prices = np.asarray(config.price_grid)[
-        np.stack(rivals, axis=1) // n_q]  # (N, B)
-    actions = list(itertools.product(config.price_grid, config.quantity_grid))
+    rival_prices = config.actions.price(np.stack(rivals, axis=1))  # (N, B)
+    n_actions = len(config.actions.prices) * len(config.actions.quantities)
+    actions = [(a.price, a.quantity) for a in map(config.actions.action,
+                                                  range(n_actions))]
     for own_type, dyn in zip((LOW, HIGH), build_dynamics(
             grid, config, model, (LOW, HIGH), rivals)):
         want = np.array([[sum(
@@ -252,7 +256,7 @@ def test_contraction_check_on_model_dynamics():
     model = make_model()
     grid = build_belief_grid(config)
     mid = np.full(grid.n_nodes,
-                  len(config.price_grid) * len(config.quantity_grid) // 2)
+                  len(config.actions.prices) * len(config.actions.quantities) // 2)
     dyn = build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
     report = contraction_check(dyn, config, 50, rngmod.stream(87, "cc"))
     assert report["passed"]
@@ -369,9 +373,36 @@ def test_grid_axes_validation():
             make_config(belief_axis=bad)
     with pytest.raises(ValueError):
         make_config(delta=1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        make_config(actions=ActionGrid((12.0, 8.0), (20.0,)))
     for bad in (dict(tol=0.0), dict(tol=-1e-6), dict(max_iter=0)):
         with pytest.raises(ValueError):
             make_config(**bad)
+
+
+def test_refresh_plays_each_firm_as_the_type_it_is_written_as():
+    # firm 1 plays its low-cost policy and firm 2 its high-cost one, the
+    # types cmd_equilibrium writes them as
+    config = make_config(refresh_trajectories=3, refresh_horizon=4)
+    grid = build_belief_grid(config)
+    model = make_model()
+
+    def posting(price):
+        k = config.actions.index(Action(quantity=30.0, price=price))
+        return np.full(grid.n_nodes, k, dtype=np.int64)
+
+    def refreshed(firm1, firm2):
+        return _refresh_hyper(grid, config, model, (firm1, firm2),
+                              rngmod.stream(5, "refresh")).hyper
+
+    base = refreshed((posting(10.0), posting(16.0)), (posting(8.0), posting(14.0)))
+    # the policies of the types the firms do not play are never read
+    same = refreshed((posting(10.0), posting(8.0)), (posting(16.0), posting(14.0)))
+    # firm 2's high-cost policy is
+    moved = refreshed((posting(10.0), posting(16.0)), (posting(8.0), posting(12.0)))
+    for name in ("m", "S", "b"):
+        np.testing.assert_array_equal(getattr(same, name), getattr(base, name))
+        assert not np.array_equal(getattr(moved, name), getattr(base, name))
 
 
 def test_refresh_without_rng_rejected():

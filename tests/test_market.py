@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crgame import rng as rngmod
-from crgame.market import (Action, DemandParams, FirmType, MarketState,
+from crgame.market import (Action, ActionGrid, DemandParams, FirmType, MarketState,
                            censor_sales, covariate_vector, latent_demand,
                            one_period_profit, simulate_period, step_inventory)
 
@@ -103,6 +103,56 @@ def test_firm_type_validation():
         FirmType(c=6.0, h=0.8, s=7.0)  # salvage above cost
     with pytest.raises(ValueError):
         DemandParams(45.0, 3.6, 1.2, 7.5, 4.5)  # own-price slope must be < 0
+
+
+# ------------------------------------------------------------ action grid
+
+GRID = ActionGrid(tuple(float(p) for p in range(8, 17)),
+                  tuple(float(q) for q in range(20, 70, 5)))
+N_ACTIONS = len(GRID.prices) * len(GRID.quantities)
+
+
+def test_action_grid_index_round_trips():
+    for k in range(N_ACTIONS):
+        assert GRID.index(GRID.action(k)) == k
+    action = Action(quantity=35.0, price=11.0)
+    assert GRID.action(GRID.index(action)) == action
+    # price-major: the next index raises the quantity, and the price only
+    # once every quantity of the lower price has come
+    assert GRID.action(1) == Action(quantity=25.0, price=8.0)
+    assert GRID.action(10) == Action(quantity=20.0, price=9.0)
+    assert GRID.action(N_ACTIONS - 1) == Action(quantity=65.0, price=16.0)
+
+
+@pytest.mark.parametrize("prices, quantities, midpoint", [
+    ((8.0,), (20.0,), Action(quantity=20.0, price=8.0)),
+    ((8.0, 10.0), (20.0, 30.0), Action(quantity=20.0, price=8.0)),
+    ((8.0, 10.0, 12.0), (20.0, 30.0, 40.0, 50.0), Action(quantity=30.0, price=10.0)),
+    ((8.0, 10.0, 12.0, 14.0), (20.0, 30.0, 40.0), Action(quantity=30.0, price=10.0)),
+    (GRID.prices, GRID.quantities, Action(quantity=40.0, price=12.0)),
+])
+def test_action_grid_midpoint_ties_toward_the_lower_action(prices, quantities,
+                                                           midpoint):
+    assert ActionGrid(prices, quantities).midpoint == midpoint
+
+
+def test_action_grid_price_decodes_an_array_as_each_scalar():
+    ks = np.arange(N_ACTIONS).reshape(9, 10)[::-1]
+    assert GRID.price(ks).tolist() == [[GRID.action(k).price for k in row]
+                                       for row in ks]
+    assert all(GRID.price(k) == GRID.action(k).price for k in ks.ravel())
+
+
+@pytest.mark.parametrize("prices, quantities, message", [
+    ((), (20.0,), "nonempty"),
+    ((8.0,), (), "nonempty"),
+    ((12.0, 8.0), (20.0,), "strictly increasing"),
+    ((8.0,), (20.0, 20.0), "strictly increasing"),
+    ((8.0,), (-5.0, 10.0), "nonnegative"),
+])
+def test_action_grid_rejects_bad_grids(prices, quantities, message):
+    with pytest.raises(ValueError, match=message):
+        ActionGrid(prices, quantities)
 
 
 # ------------------------------------------------------------ simulation

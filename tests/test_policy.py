@@ -5,7 +5,7 @@ import pytest
 
 from crgame import kernels, rng as rngmod
 from crgame.learning import PosteriorHyper, TypeBelief
-from crgame.market import Action, FirmType
+from crgame.market import Action, ActionGrid, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
                            _closed_form_grid_scores,
                            expected_profit_closed_form,
@@ -20,7 +20,7 @@ QTY_GRID = tuple(float(q) for q in range(20, 70, 5))
 
 
 def make_config(**kw):
-    base = dict(price_grid=PRICE_GRID, quantity_grid=QTY_GRID, kappa=0.6,
+    base = dict(actions=ActionGrid(PRICE_GRID, QTY_GRID), kappa=0.6,
                 predictive_samples=400, salvage_mode="per-period",
                 rival_forecast="last-action")
     base.update(kw)
@@ -294,6 +294,4 @@ def test_unknown_policy_rejected():
 
 def test_invalid_grid_rejected():
     with pytest.raises(ValueError):
-        PolicyConfig(price_grid=(12.0, 8.0), quantity_grid=QTY_GRID, kappa=0.6,
-                     predictive_samples=500, salvage_mode="per-period",
-                     rival_forecast="last-action")
+        make_config(actions=ActionGrid((12.0, 8.0), QTY_GRID))
