@@ -183,22 +183,23 @@ def static_prior_scores(prior: PosteriorHyper, config: PolicyConfig,
 
 def select_action(state: BeliefState, config: PolicyConfig, policy: str,
                   rng: np.random.Generator | None,
-                  static_prior: PosteriorHyper | None = None
+                  static_scores: np.ndarray | None = None
                   ) -> tuple[Action, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Argmax action for the given policy, with the grid it was chosen from.
 
     The second element is the (means, sds, scores) arrays over the grid,
     price-major. Ties break lexicographically (lower price, then lower
     quantity) via price-major action ordering and first-occurrence argmax.
-    The static-prior policy scores ``static_prior`` and draws nothing, so it
-    takes ``rng`` None.
+    The static-prior policy takes the firm's ``static_prior_scores``, fixed
+    for a replication, as ``static_scores``; it draws nothing, so it takes
+    ``rng`` None.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "classical-static-prior":
-        if static_prior is None:
-            raise ValueError("static-prior policy needs the frozen prior")
-        means = static_prior_scores(static_prior, config, state.own_type)
+        if static_scores is None:
+            raise ValueError("static-prior policy needs its frozen-prior scores")
+        means = static_scores
         sds = np.zeros_like(means)
         kappa = 0.0
     else:

@@ -19,7 +19,8 @@ from .learning import (ObservationRecord, PosteriorHyper, TypeBelief,
 from .market import (Action, ActionGrid, DemandParams, FirmType, MarketState,
                      covariate_vector, simulate_period)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
-                     _closed_form_grid_scores, select_action)
+                     _closed_form_grid_scores, select_action,
+                     static_prior_scores)
 
 __all__ = [
     "SimConfig",
@@ -211,6 +212,9 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
         config.cost_high if cost_rng.random() < config.high_cost_prob[i]
         else config.cost_low for i in (0, 1))
     types = (config.firm_type(costs[0]), config.firm_type(costs[1]))
+    # the static policy's scores depend only on the prior and the firm's type
+    static_scores = [static_prior_scores(prior, pcfg, firm_type)
+                     if static else None for firm_type in types]
 
     posterior = prior
     beliefs = [TypeBelief(np.array([1.0 - config.high_cost_prob[1 - i],
@@ -243,7 +247,7 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
             decide_rng = None if static else rngmod.stream(
                 seed, pid, rep_index, i, t, "decide")
             action, _ = select_action(bstate, pcfg, policy, decide_rng,
-                                      static_prior=prior)
+                                      static_scores=static_scores[i])
             actions.append(action)
 
         market_rng = rngmod.stream(seed, pid, rep_index, t, "market")

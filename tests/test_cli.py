@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output tree contents."""
 
+import gc
 import hashlib
 import json
 import os
@@ -20,7 +21,10 @@ FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
 
 
 def run_cli(argv):
-    return cli.main(argv)
+    try:
+        return cli.main(argv)
+    finally:
+        gc.unfreeze()  # main leaves what is alive frozen for the exit
 
 
 @pytest.fixture()
@@ -172,12 +176,9 @@ BAD_VALUES = [
     _bad("simulate", {}, "simulation.policies",
          flags=("--policy", "classical-static-prior",
                 "--policy", "classical-static-prior")),
-    _bad("equilibrium", {"equilibrium": {"contraction_trials": "many"}},
+    # the contraction certificate needs no trials, so the key is unknown
+    _bad("equilibrium", {"equilibrium": {"contraction_trials": 100}},
          "equilibrium.contraction_trials"),
-    _bad("equilibrium", {"equilibrium": {"contraction_trials": 0}},
-         "equilibrium.contraction_trials", suffix="=0"),
-    _bad("equilibrium", {"equilibrium": {"contraction_trials": -1}},
-         "equilibrium.contraction_trials", suffix="=-1"),
     _bad("equilibrium", {"equilibrium": {"contraction_seed": 7}},
          "equilibrium.contraction_seed"),
     _bad("equilibrium", {"equilibrium": {"quad_points": 0}}, "quad_points"),
@@ -406,7 +407,7 @@ def test_default_config_hash_is_pinned():
     # the manifest records this hash: a change to a default or to the config
     # schema must show up here as a deliberate edit
     assert cli.config_hash(cli.load_config(None, {})) == (
-        "7bd93da85050aace6980a4982426768a2128708a09b56b5c8f0bdcafd9d735fe")
+        "af41209ef5f3625ab403f40e6c19a5e85d678f1e37a72f6c4610c2a60aba1b92")
 
 
 def test_default_config_builds_the_dataclass_defaults():
@@ -606,6 +607,17 @@ def test_python_m_crgame_help():
         assert command in proc.stdout
 
 
+def test_main_freezes_what_is_alive_for_the_exit_collection(tmp_path):
+    # the interpreter's exit collection skips frozen objects, so main
+    # freezes after its command returns, whatever the exit code
+    gc.unfreeze()
+    try:
+        assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
 def test_equilibrium_never_imports_scipy_special(tmp_path):
     # importing scipy.special takes ~0.3 s and slows interpreter shutdown;
     # only the simulation's samplers need it
@@ -639,13 +651,13 @@ def _tree_sha256(root) -> str:
 # numpy or platform may round differently and need them recorded again.
 PINNED_TREES = {
     ("fixed", "gibbs-every-period"):
-        "4d33f08e240da2fcc93c595f14799beeacdfbe7b30d3edb91966a1accae89be9",
+        "b6605a7a587def4ce640dc63fc06ce04585b2b0f3abc5714157a66700517166c",
     ("fixed", "single-imputation"):
-        "6cb9899662beb7087172f90faf427bbb87ab42b136ec8a0f5264a925ba39bb2a",
+        "900e3d008b5aa664bb1b7e68b9dffacd2b6ab2cbd5ee66a7e2e5342ce974fbfc",
     ("learn", "gibbs-every-period"):
-        "d3d4683baf54308ccbbcd0c349c9d0b1166c72836f267f342828523db0e96990",
+        "0ed8900f4f89665dd1c5c7c9fb022c8c71cd664d68697b818918bd047d55011f",
     ("learn", "single-imputation"):
-        "54cc54c709bd66a4eef2be7700f12c9117730a8e58dedf9074384b99bd6f9032",
+        "db5fec913ef64db0b919c2674052cab22d0a8ba005c0f6de1bf911ae59dc6161",
 }
 
 
@@ -678,15 +690,15 @@ def test_simulate_tree_is_pinned_per_noise_and_learning_mode(
 PINNED_EQUILIBRIUM_TREES = {
     "default": (
         {},
-        "ed823693f356ee83fcd93ff5622a5cd3e2cad5feef6e0e8bf04a525852836750"),
+        "2a69176a4c082fd33a9c7179224324ae24f32f863f4c55a54d5a78a12256862f"),
     "fine-axes": (
         {"inventory_axis": [5.0 * i for i in range(8)],
          "intercept_axis": [30.0 + 3.75 * i for i in range(8)],
          "belief_axis": [0.0, 0.5, 1.0]},
-        "ae4cca749a7512d1492e5ca8f3935ac497d0e2976beef6b31b7a27e294a2ad59"),
+        "540cd1d95a65ac56442896ff8df3e10d585e6aa231db6b9a944a14582b4c8af6"),
     "refresh": (
         {"refresh_trajectories": 5},
-        "a17039a6763001ec4359eb5bfe633f9e629564aa0fb471bd73a6ba4eec6ab6d9"),
+        "3be728f9263c87c1a36eb2df66af1a46f3ef59c072c38871146109722140650e"),
 }
 
 

@@ -258,10 +258,52 @@ def test_contraction_check_on_model_dynamics():
     mid = np.full(grid.n_nodes,
                   len(config.actions.prices) * len(config.actions.quantities) // 2)
     dyn = build_dynamics(grid, config, model, (LOW,), (mid, mid))[0]
-    report = contraction_check(dyn, config, 50, rngmod.stream(87, "cc"))
+    report = contraction_check(dyn, config)
     assert report["passed"]
-    assert report["max_ratio"] <= config.delta + 1e-9
-    assert report["violations"] == []
+    assert abs(report["modulus"] - config.delta) <= 1e-12
+    assert report["min_weight"] >= 0.0
+    assert report["max_weight_sum_error"] <= 1e-12
+    lo, hi = report["next_idx_range"]
+    assert 0 <= lo <= hi < grid.n_nodes == report["nodes"]
+    # the modulus is attained: a constant shift moves Tv by delta times it
+    v = rngmod.stream(87, "cc").uniform(-100.0, 100.0, grid.n_nodes)
+    tv, _ = bellman_core(v, dyn, config.delta)
+    tw, _ = bellman_core(v + 10.0, dyn, config.delta)
+    np.testing.assert_allclose(tw - tv, report["modulus"] * 10.0, atol=1e-9)
+
+
+def _broken(dyn, part):
+    """A copy of ``dyn`` with one entry of one part made invalid."""
+    weights, next_idx = dyn.weights.copy(), dyn.next_idx.copy()
+    n_nodes = dyn.reward.shape[0]
+    if part == "negative weight":  # the node's weights still sum to 1
+        weights[3, 1, 0] -= 0.1
+        weights[3, 1, 1] += 0.1
+    elif part == "weight sum above 1":
+        weights[5, 0, 0] += 1e-9
+    else:  # a successor one past the last node
+        next_idx[2, 4, 1, 1] = n_nodes
+    return DiscretizedDynamics(dyn.reward, next_idx, weights)
+
+
+@pytest.mark.parametrize("part", ["negative weight", "weight sum above 1",
+                                  "successor out of range"])
+def test_contraction_check_rejects_crafted_dynamics(part):
+    config = make_config()
+    grid = build_belief_grid(config)
+    mid = np.full(grid.n_nodes, 7)
+    dyn = build_dynamics(grid, config, make_model(), (LOW,), (mid, mid))[0]
+    assert contraction_check(dyn, config)["passed"]
+    report = contraction_check(_broken(dyn, part), config)
+    assert not report["passed"]
+    # each crafted dynamics breaks one fact and keeps the other two
+    assert (report["min_weight"] < 0.0) == (part == "negative weight")
+    assert (report["max_weight_sum_error"] > 1e-12) == (
+        part == "weight sum above 1")
+    assert (report["next_idx_range"][1] == grid.n_nodes) == (
+        part == "successor out of range")
+    if part == "weight sum above 1":
+        assert report["modulus"] > config.delta
 
 
 # ------------------------------------------------------------- fixed points

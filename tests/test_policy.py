@@ -232,7 +232,7 @@ def test_argmax_tie_break_lexicographic():
 
 def test_static_policy_ignores_posterior_and_inventory():
     config = make_config()
-    prior = make_state().demand_posterior
+    scores = static_prior_scores(make_state().demand_posterior, config, LOW)
     actions = set()
     for k in range(20):
         state = make_state(inventory=float(3 * k))
@@ -240,7 +240,7 @@ def test_static_policy_ignores_posterior_and_inventory():
         state.demand_posterior.m[0] += k * 2.0
         action, _ = select_action(state, config, "classical-static-prior",
                                   rngmod.stream(103, "static", k),
-                                  static_prior=prior)
+                                  static_scores=scores)
         actions.add(action)
     assert len(actions) == 1
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgame import learning, rng as rngmod, simharness
+from crgame import learning, policy, rng as rngmod, simharness
 from crgame.market import DemandParams
 from crgame.simharness import (SimConfig, bootstrap_diff, dominance_curve,
                                relative_improvement, run_experiment,
@@ -123,6 +123,22 @@ def test_static_replication_builds_only_costs_and_market_streams(monkeypatch):
     monkeypatch.setattr(rngmod, "stream", recorded)
     run_replication(small_config(horizon=5), "classical-static-prior", 1)
     assert purposes == ["costs"] + ["market"] * 5
+
+
+def test_static_replication_scores_the_grid_once_per_firm(monkeypatch):
+    """The static policy's scores depend only on the prior and the firm's
+    type, so a replication computes them once per firm, not once a period."""
+    calls = []
+    scores = policy._closed_form_grid_scores
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scores(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "_closed_form_grid_scores", counted)
+    monkeypatch.setattr(simharness, "_closed_form_grid_scores", counted)
+    run_replication(small_config(horizon=5), "classical-static-prior", 1)
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ metrics
