@@ -159,6 +159,12 @@ class ObservationRecord:
     censored: bool
     floored: bool = False  # zero sales without a stockout: latent demand <= 0
 
+    @property
+    def hidden(self) -> bool:
+        """Whether the sales hide the demand (a stockout or a floored zero),
+        so that an update of this record draws its latent demand."""
+        return self.censored or self.floored
+
 
 def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray,
                      demand: float) -> PosteriorHyper:
@@ -476,7 +482,8 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
 
 
 def online_update(hyper: PosteriorHyper, record: ObservationRecord,
-                  rng: np.random.Generator, mode: str = "single-imputation",
+                  rng: np.random.Generator | None,
+                  mode: str = "single-imputation",
                   prior: PosteriorHyper | None = None,
                   history: list[ObservationRecord] | None = None
                   ) -> PosteriorHyper:
@@ -487,9 +494,10 @@ def online_update(hyper: PosteriorHyper, record: ObservationRecord,
     truncated-normal imputation at the current posterior predictive
     (default) or by a Gibbs refresh over the retained history at
     ``GIBBS_CHAIN``'s lengths (``mode='gibbs-every-period'``, requires
-    ``prior`` + ``history`` including the new record).
+    ``prior`` + ``history`` including the new record). Only a ``hidden``
+    record draws, so the conjugate path takes ``rng`` None.
     """
-    if not record.censored and not record.floored:
+    if not record.hidden:
         return conjugate_update(hyper, record.covariate, record.sales)
     if mode == "single-imputation":
         bound, side = (record.stock, "lower") if record.censored else (0.0, "upper")

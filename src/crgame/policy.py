@@ -182,34 +182,29 @@ def static_prior_scores(prior: PosteriorHyper, config: PolicyConfig,
 
 
 def select_action(state: BeliefState, config: PolicyConfig, policy: str,
-                  rng: np.random.Generator | None,
-                  static_scores: np.ndarray | None = None
+                  rng: np.random.Generator
                   ) -> tuple[Action, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Argmax action for the given policy, with the grid it was chosen from.
+    """Argmax action for a learning policy, with the grid it was chosen from.
 
     The second element is the (means, sds, scores) arrays over the grid,
     price-major. Ties break lexicographically (lower price, then lower
     quantity) via price-major action ordering and first-occurrence argmax.
-    The static-prior policy takes the firm's ``static_prior_scores``, fixed
-    for a replication, as ``static_scores``; it draws nothing, so it takes
-    ``rng`` None.
+    The static-prior policy chooses from no posterior: its action is the
+    argmax of ``static_prior_scores``, fixed for a replication, so it is
+    rejected here.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "classical-static-prior":
-        if static_scores is None:
-            raise ValueError("static-prior policy needs its frozen-prior scores")
-        means = static_scores
-        sds = np.zeros_like(means)
-        kappa = 0.0
-    else:
-        kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
-        rival = forecast_rival_action(state, config)
-        coef, sig, z = predictive_draws(state.demand_posterior,
-                                        config.predictive_samples, rng)
-        means, sds = kernels.profit_moments_grid(
-            coef, sig, z, config.actions.prices, config.actions.quantities,
-            state.inventory, rival.price, state.last_rival_stockout,
-            state.own_type, salvage_credited(config.salvage_mode))
+        raise ValueError("the static-prior policy decides once, from "
+                         "static_prior_scores")
+    kappa = config.kappa if policy == "proposed-credible-risk" else 0.0
+    rival = forecast_rival_action(state, config)
+    coef, sig, z = predictive_draws(state.demand_posterior,
+                                    config.predictive_samples, rng)
+    means, sds = kernels.profit_moments_grid(
+        coef, sig, z, config.actions.prices, config.actions.quantities,
+        state.inventory, rival.price, state.last_rival_stockout,
+        state.own_type, salvage_credited(config.salvage_mode))
     scores = means - kappa * sds
     return config.actions.action(np.argmax(scores)), (means, sds, scores)

@@ -113,6 +113,12 @@ class SimConfig:
     def firm_type(self, cost: float) -> FirmType:
         return FirmType(cost, self.holding, self.salvage)
 
+    def initial_beliefs(self) -> tuple:
+        """Each firm's first-period belief over its rival's (low, high) cost
+        type: the rival's ``high_cost_prob``."""
+        return tuple(TypeBelief(np.array([1.0 - p, p]))
+                     for p in reversed(self.high_cost_prob))
+
     def policy_config(self) -> PolicyConfig:
         return PolicyConfig(
             actions=ActionGrid(self.price_grid, self.quantity_grid),
@@ -200,104 +206,79 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
     """Simulate one replication of the repeated game under a single policy."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    pid = _POLICY_ID[policy]
-    seed = config.master_seed
-    static = policy == "classical-static-prior"
+    stream = partial(rngmod.stream, config.master_seed, _POLICY_ID[policy],
+                     rep_index)
     pcfg = config.policy_config()
     prior = config.prior_hyper()
     gibbs = config.learning_mode == "gibbs-every-period"
 
-    cost_rng = rngmod.stream(seed, pid, rep_index, "costs")
+    cost_rng = stream("costs")
     costs = tuple(
         config.cost_high if cost_rng.random() < config.high_cost_prob[i]
         else config.cost_low for i in (0, 1))
     types = (config.firm_type(costs[0]), config.firm_type(costs[1]))
-    # the static policy's scores depend only on the prior and the firm's type
-    static_scores = [static_prior_scores(prior, pcfg, firm_type)
-                     if static else None for firm_type in types]
+    # the static policy's action depends only on the prior and the firm's
+    # type, so it is chosen once; it neither decides per period nor learns
+    static = policy == "classical-static-prior"
+    actions = tuple(pcfg.actions.action(np.argmax(
+        static_prior_scores(prior, pcfg, firm_type))) for firm_type in types) \
+        if static else (None, None)
 
     posterior = prior
-    beliefs = [TypeBelief(np.array([1.0 - config.high_cost_prob[1 - i],
-                                    config.high_cost_prob[1 - i]]))
-               for i in (0, 1)]
+    beliefs = config.initial_beliefs()
     state = MarketState()
-    last_actions: list[Action | None] = [None, None]
     history: list[ObservationRecord] = []
-
+    rows = []
     T = config.horizon
-    prices = np.empty((T, 2))
-    quantities = np.empty((T, 2))
-    sales = np.empty((T, 2))
-    stockouts = np.zeros((T, 2), dtype=bool)
-    profits = np.empty((T, 2))
-    mse = np.empty(T)
-    belief_track = np.empty((T, 2))
-
     for t in range(1, T + 1):
         lag_stockout = state.last_stockout
-        actions = []
-        for i in (0, 1):
-            j = 1 - i
-            bstate = BeliefState(
-                inventory=state.inventory[i], own_type=types[i],
-                demand_posterior=posterior, rival_type_belief=beliefs[i],
-                last_rival_action=last_actions[j],
-                last_rival_stockout=lag_stockout[j])
-            # the static policy draws nothing; streams are keyed, so skip it
-            decide_rng = None if static else rngmod.stream(
-                seed, pid, rep_index, i, t, "decide")
-            action, _ = select_action(bstate, pcfg, policy, decide_rng,
-                                      static_scores=static_scores[i])
-            actions.append(action)
+        if not static:
+            # each firm sees the rival's previous action, None in period 1
+            actions = tuple(select_action(
+                BeliefState(inventory=state.inventory[i], own_type=types[i],
+                            demand_posterior=posterior,
+                            rival_type_belief=beliefs[i],
+                            last_rival_action=actions[1 - i],
+                            last_rival_stockout=lag_stockout[1 - i]),
+                pcfg, policy, stream(i, t, "decide"))[0] for i in (0, 1))
 
-        market_rng = rngmod.stream(seed, pid, rep_index, t, "market")
         outcomes, next_state = simulate_period(
-            state, tuple(actions), config.true_params, types, market_rng,
+            state, actions, config.true_params, types, stream(t, "market"),
             salvage_mode=config.salvage_mode, terminal=(t == T))
 
         if not static:
-            records = []
-            for i in (0, 1):
-                j = 1 - i
-                cov = covariate_vector(actions[i].price, actions[j].price,
-                                       lag_stockout[j])
-                stock = state.inventory[i] + actions[i].quantity
-                records.append(ObservationRecord(
-                    cov, outcomes[i].sales, stock, outcomes[i].stockout,
-                    floored=(outcomes[i].sales <= 0.0
-                             and not outcomes[i].stockout)))
-            # a Gibbs refresh restarts from the prior and never reads the
-            # posterior it replaces, so when firm 2's record is refreshed,
-            # firm 1's update of this period would be discarded unread
-            skip_first = gibbs and (records[1].censored or records[1].floored)
+            records = [ObservationRecord(
+                covariate_vector(actions[i].price, actions[1 - i].price,
+                                 lag_stockout[1 - i]),
+                outcomes[i].sales, state.inventory[i] + actions[i].quantity,
+                outcomes[i].stockout,
+                floored=outcomes[i].sales <= 0.0 and not outcomes[i].stockout)
+                for i in (0, 1)]
             for i, record in enumerate(records):
                 history.append(record)
-                if i == 0 and skip_first:
+                # a Gibbs refresh restarts from the prior and never reads the
+                # posterior it replaces, so when firm 2's record is refreshed,
+                # firm 1's update of this period would be discarded unread
+                if i == 0 and gibbs and records[1].hidden:
                     continue
-                update_rng = rngmod.stream(seed, pid, rep_index, i, t, "impute")
                 posterior = online_update(
-                    posterior, record, update_rng, mode=config.learning_mode,
-                    prior=prior, history=history)
-            for i in (0, 1):
-                j = 1 - i
-                likelihood = _rival_action_model(
-                    pcfg, config.type_likelihood_temperature, posterior,
-                    state.inventory[j], actions[i].price, actions[j])
-                beliefs[i] = update_type_belief(beliefs[i], likelihood)
+                    posterior, record,
+                    stream(i, t, "impute") if record.hidden else None,
+                    mode=config.learning_mode, prior=prior, history=history)
+            beliefs = [update_type_belief(beliefs[i], _rival_action_model(
+                pcfg, config.type_likelihood_temperature, posterior,
+                state.inventory[1 - i], actions[i].price, actions[1 - i]))
+                for i in (0, 1)]
 
-        for i in (0, 1):
-            prices[t - 1, i] = actions[i].price
-            quantities[t - 1, i] = actions[i].quantity
-            sales[t - 1, i] = outcomes[i].sales
-            stockouts[t - 1, i] = outcomes[i].stockout
-            profits[t - 1, i] = outcomes[i].profit
-            belief_track[t - 1, i] = beliefs[i].probs[1]
-        mse[t - 1] = posterior_mse(posterior, config.true_params)
-        last_actions = list(actions)
+        rows.append(([a.price for a in actions], [a.quantity for a in actions],
+                     [o.sales for o in outcomes], [o.stockout for o in outcomes],
+                     [o.profit for o in outcomes], [b.probs[1] for b in beliefs],
+                     posterior_mse(posterior, config.true_params)))
         state = next_state
 
-    disc = config.delta ** np.arange(T)
-    firm_profit = (profits * disc[:, None]).sum(axis=0)
+    prices, quantities, sales, stockouts, profits, belief_track, mse = (
+        np.array(column) for column in zip(*rows))
+    firm_profit = (profits * (config.delta ** np.arange(T))[:, None]).sum(axis=0)
     return ReplicationRecord(
         policy=policy, rep=rep_index, costs=costs, prices=prices,
         quantities=quantities, sales=sales, stockouts=stockouts,

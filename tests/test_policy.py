@@ -1,9 +1,11 @@
 """Action selection: predictive scoring, closed forms, policy equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crgame import kernels, rng as rngmod
+from crgame import kernels, rng as rngmod, simharness
 from crgame.learning import PosteriorHyper, TypeBelief
 from crgame.market import Action, ActionGrid, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
@@ -230,19 +232,34 @@ def test_argmax_tie_break_lexicographic():
     assert idx == 0  # first occurrence wins: lowest price, then lowest qty
 
 
-def test_static_policy_ignores_posterior_and_inventory():
-    config = make_config()
-    scores = static_prior_scores(make_state().demand_posterior, config, LOW)
-    actions = set()
-    for k in range(20):
-        state = make_state(inventory=float(3 * k))
-        # perturb the posterior: static selection must not react
-        state.demand_posterior.m[0] += k * 2.0
-        action, _ = select_action(state, config, "classical-static-prior",
-                                  rngmod.stream(103, "static", k),
-                                  static_scores=scores)
-        actions.add(action)
-    assert len(actions) == 1
+def test_static_policy_ignores_posterior_and_inventory(monkeypatch):
+    """A static replication holds each firm's action for every period: its
+    inventory moves, a posterior update would move the posterior far, and
+    the action stays the argmax of the firm's frozen-prior scores."""
+
+    def drifting(posterior, *args, **kwargs):  # perturb the posterior
+        return replace(posterior, m=posterior.m + np.array([5.0, 1.0, 0, 0]))
+
+    monkeypatch.setattr(simharness, "online_update", drifting)
+    config = SimConfig(horizon=12, replications=1, predictive_samples=150)
+    pcfg = config.policy_config()
+    for rep in range(3):
+        rec = simharness.run_replication(config, "classical-static-prior", rep)
+        stock = np.cumsum(rec.quantities, axis=0)
+        inventory = stock - np.cumsum(rec.sales, axis=0)
+        assert (np.ptp(inventory, axis=0) > 0).all()  # the state does move
+        for i in (0, 1):
+            scores = static_prior_scores(config.prior_hyper(), pcfg,
+                                         config.firm_type(rec.costs[i]))
+            want = pcfg.actions.action(np.argmax(scores))
+            assert set(rec.prices[:, i]) == {want.price}
+            assert set(rec.quantities[:, i]) == {want.quantity}
+
+
+def test_select_action_rejects_the_static_policy():
+    with pytest.raises(ValueError, match="static-prior policy decides once"):
+        select_action(make_state(), make_config(), "classical-static-prior",
+                      rngmod.stream(1, "x"))
 
 
 def test_static_scores_are_deterministic():

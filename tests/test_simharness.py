@@ -141,6 +141,47 @@ def test_static_replication_scores_the_grid_once_per_firm(monkeypatch):
     assert len(calls) == 2
 
 
+def test_static_replication_calls_select_action_zero_times(monkeypatch):
+    """The static policy decides once per replication, not per period."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the static policy chose through select_action")
+
+    monkeypatch.setattr(simharness, "select_action", counted)
+    run_replication(small_config(horizon=5), "classical-static-prior", 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("learning_mode",
+                         ["gibbs-every-period", "single-imputation"])
+def test_impute_streams_are_built_only_for_updates_that_draw(learning_mode,
+                                                             monkeypatch):
+    """An update draws only for a hidden (censored or floored) record, so a
+    study builds one impute stream per such update and none for the
+    conjugate path."""
+    impute, drawing, conjugate = [], [], []
+    stream, update = rngmod.stream, simharness.online_update
+
+    def recorded_stream(*key):
+        if key[-1] == "impute":
+            impute.append(key)
+        return stream(*key)
+
+    def recorded_update(posterior, record, rng, **kwargs):
+        (drawing if record.hidden else conjugate).append(rng)
+        return update(posterior, record, rng, **kwargs)
+
+    monkeypatch.setattr(rngmod, "stream", recorded_stream)
+    monkeypatch.setattr(simharness, "online_update", recorded_update)
+    run_experiment(small_config(replications=2, horizon=10, master_seed=13,
+                                learning_mode=learning_mode))
+    assert drawing and conjugate  # both paths ran
+    assert len(impute) == len(drawing)
+    assert all(rng is None for rng in conjugate)
+
+
 # ------------------------------------------------------------------ metrics
 
 def test_static_policy_mse_constant_at_prior_level():
