@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, equilibrium, rng as rngmod
 from .learning import TypeBelief
-from .market import SALVAGE_MODES, ActionGrid, DemandParams, salvage_credited
+from .market import SALVAGE_MODES, DemandParams, salvage_credited
 from .equilibrium import (FIRM_TYPES, EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
                           contraction_check, equilibrium_iteration)
@@ -77,10 +77,10 @@ def config_hash(config_dict: dict) -> str:
 
 SIM_DEFAULTS = {**dataclasses.asdict(SimConfig()), "policies": list(POLICIES)}
 
-# the action grid comes from the simulation section; node_budget is a guard
-# of the solver, not a setting of the study
+# the action grid and kappa come from the simulation section; node_budget is
+# a guard of the solver, not a setting of the study
 EQ_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EquilibriumConfig)
-               if f.name not in ("actions", "node_budget")}
+               if f.name not in ("actions", "kappa", "node_budget")}
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -317,14 +317,14 @@ def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
 
 def build_eq_inputs(cfg: dict):
     sim = build_sim_config(cfg)
+    # the solve scores the study's action grid, kappa and rival types
+    pcfg = sim.policy_config()
     eq_config = _build(EquilibriumConfig, "equilibrium", cfg["equilibrium"],
-                       actions=ActionGrid(sim.price_grid, sim.quantity_grid))
-    low = sim.firm_type(sim.cost_low)
-    high = sim.firm_type(sim.cost_high)
+                       actions=pcfg.actions, kappa=pcfg.kappa)
     # build_dynamics follows the prior's noise convention; the solve is held
     # on normal-inverse-gamma (S a scale matrix) whatever the study's sigma_mode
     model = EquilibriumModel(
-        rival_types=(low, high),
+        rival_types=pcfg.rival_types,
         hyper=dataclasses.replace(sim.prior_hyper(), fixed_sd=None),
         salvage_on=salvage_credited(sim.salvage_mode))
     return eq_config, model, sim

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output tree contents."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from crgame import cli, equilibrium
+from crgame import cli, equilibrium, rng as rngmod
 from crgame.equilibrium import (FIRM_TYPES, EquilibriumConfig,
                                 NonConvergenceError)
 from crgame.market import ActionGrid
@@ -183,7 +184,10 @@ BAD_VALUES = [
          "equilibrium.contraction_seed"),
     _bad("equilibrium", {"equilibrium": {"quad_points": 0}}, "quad_points"),
     _bad("equilibrium", {"equilibrium": {"sweep_cap": 0}}, "sweep_cap"),
-    _bad("equilibrium", {"equilibrium": {"kappa": -1.0}}, "kappa"),
+    # the solve reads kappa from the simulation section, which checks it
+    _bad("equilibrium", {"simulation": {"kappa": -1.0}}, "kappa"),
+    _bad("equilibrium", {"equilibrium": {"kappa": 0.6}}, "equilibrium.kappa",
+         suffix="=unknown"),
     _bad("equilibrium", {"equilibrium": {"refresh_trajectories": -3}},
          "refresh_trajectories"),
     _bad("equilibrium", {"equilibrium": {"refresh_trajectories": 2,
@@ -407,7 +411,7 @@ def test_default_config_hash_is_pinned():
     # the manifest records this hash: a change to a default or to the config
     # schema must show up here as a deliberate edit
     assert cli.config_hash(cli.load_config(None, {})) == (
-        "af41209ef5f3625ab403f40e6c19a5e85d678f1e37a72f6c4610c2a60aba1b92")
+        "f1f926df63f186d808e3388fd13a4a29c067fffbb58f2393ffe062a53afdb081")
 
 
 def test_default_config_builds_the_dataclass_defaults():
@@ -479,6 +483,26 @@ def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
     rows = _read_rows(out / "values.csv")
     assert [float(r[3]) for r in rows] == want1.tolist()
     assert [float(r[4]) for r in rows] == want2.tolist()
+
+
+def test_equilibrium_solves_at_the_simulation_kappa(tmp_path, monkeypatch):
+    """The study and the solve share one kappa: a config that sets it in the
+    simulation section writes the values of a direct solve at that kappa."""
+    _, out = _traced_equilibrium(tmp_path, monkeypatch,
+                                 {"simulation": {"kappa": 0.0}})
+    sim = SimConfig()
+    low, high = sim.firm_type(sim.cost_low), sim.firm_type(sim.cost_high)
+    config = EquilibriumConfig(
+        actions=ActionGrid(sim.price_grid, sim.quantity_grid), kappa=0.0)
+    model = equilibrium.EquilibriumModel(
+        rival_types=(low, high),
+        hyper=dataclasses.replace(sim.prior_hyper(), fixed_sd=None))
+    _, values, _, diag = equilibrium.equilibrium_iteration(
+        config, model, rng=rngmod.stream(3, "equilibrium"))
+    assert diag.converged
+    rows = _read_rows(out / "values.csv")
+    for f, k in enumerate(FIRM_TYPES):
+        assert [float(r[3 + f]) for r in rows] == values[f][k].tolist()
 
 
 def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
@@ -651,13 +675,13 @@ def _tree_sha256(root) -> str:
 # numpy or platform may round differently and need them recorded again.
 PINNED_TREES = {
     ("fixed", "gibbs-every-period"):
-        "b6605a7a587def4ce640dc63fc06ce04585b2b0f3abc5714157a66700517166c",
+        "710e62d05075b1d5b23164d021637e62f68fcd924165de8de43a4fbf8d226e42",
     ("fixed", "single-imputation"):
-        "900e3d008b5aa664bb1b7e68b9dffacd2b6ab2cbd5ee66a7e2e5342ce974fbfc",
+        "41ba08d06a0d282cab1b2f7531b484220f184a04b9c4f5f159826e93ee8b510e",
     ("learn", "gibbs-every-period"):
-        "0ed8900f4f89665dd1c5c7c9fb022c8c71cd664d68697b818918bd047d55011f",
+        "a9cd11f3e93a49ac3ccf231a2d5d44c7b282c7e1088c32e35cfef90d60b2b8cf",
     ("learn", "single-imputation"):
-        "db5fec913ef64db0b919c2674052cab22d0a8ba005c0f6de1bf911ae59dc6161",
+        "9e56ba8817157bc62201522c7ebbd1a55d7e8601ce6fade0e41493389ecd5c77",
 }
 
 
