@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from . import __version__, equilibrium, rng as rngmod
-from .learning import TypeBelief
 from .market import SALVAGE_MODES, DemandParams, salvage_credited
 from .equilibrium import (FIRM_TYPES, EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
@@ -170,12 +169,13 @@ def _summary_payload(summary, relative) -> dict:
 
 
 def _objective_surface_rows(config: SimConfig):
-    """Proposed-policy score surface over the action grid at the prior state."""
+    """Proposed-policy score surface over the action grid at firm 1's
+    first-period state, as its low-cost type."""
     pcfg = config.policy_config()
     state = BeliefState(
         inventory=0.0, own_type=config.firm_type(config.cost_low),
         demand_posterior=config.prior_hyper(),
-        rival_type_belief=TypeBelief(np.array([0.5, 0.5])))
+        rival_type_belief=config.initial_beliefs()[0])
     surf_rng = rngmod.stream(config.master_seed, "objective-surface")
     _, (means, sds, scores) = select_action(state, pcfg, "proposed-credible-risk",
                                             surf_rng)

@@ -100,14 +100,24 @@ def expected_sales_floored(mu, sd, stock):
     return expected_sales_closed_form(mu, sd, stock) - expected_sales_closed_form(mu, sd, 0.0)
 
 
+def _closed_form_profits(demand_mean, sigma, quantity, price, types,
+                         inventory, salvage_on: bool) -> list:
+    """Expected one-period profit under Gaussian demand, one entry per firm
+    type, broadcast over the other arguments. Expected sales do not depend
+    on the type, so the types share one evaluation of them."""
+    stock = inventory + quantity
+    exp_sales = expected_sales_floored(demand_mean, sigma, stock)
+    exp_left = stock - exp_sales
+    return [period_profit(price, exp_sales, quantity, exp_left, firm_type,
+                          salvage_on) for firm_type in types]
+
+
 def expected_profit_closed_form(demand_mean, sigma, quantity, price,
                                 firm_type: FirmType, inventory: float = 0.0,
                                 salvage_on: bool = True) -> float:
     """Deterministic expected one-period profit under Gaussian demand."""
-    stock = inventory + quantity
-    exp_sales = expected_sales_floored(demand_mean, sigma, stock)
-    return float(period_profit(price, exp_sales, quantity, stock - exp_sales,
-                               firm_type, salvage_on))
+    return float(_closed_form_profits(demand_mean, sigma, quantity, price,
+                                      (firm_type,), inventory, salvage_on)[0])
 
 
 def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
@@ -137,22 +147,17 @@ def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
                              rival_stockout: bool = False) -> np.ndarray:
     """Expected profit per grid action at point coefficients, one row per type.
 
-    Returns a (len(types), P * Q) array, price-major. Expected sales do
-    not depend on the type, so all rows share them. The arithmetic follows
-    ``expected_profit_closed_form`` operation for operation, so each cell
-    equals the scalar closed form exactly.
+    Returns a (len(types), P * Q) array, price-major. Each cell is
+    ``expected_profit_closed_form`` at its action: both evaluate
+    ``_closed_form_profits``.
     """
     prices = np.asarray(config.actions.prices, dtype=float)[:, None]   # (P, 1)
     quantities = np.asarray(config.actions.quantities, dtype=float)[None, :]  # (1, Q)
-    salvage_on = salvage_credited(config.salvage_mode)
     mu = (coef_mean[0] + coef_mean[1] * prices + coef_mean[2] * rival_price
           + coef_mean[3] * (1.0 if rival_stockout else 0.0))
-    stock = inventory + quantities
-    exp_sales = expected_sales_floored(mu, sigma, stock)              # (P, Q)
-    exp_left = stock - exp_sales
-    return np.stack([period_profit(prices, exp_sales, quantities, exp_left,
-                                   firm_type, salvage_on).reshape(-1)
-                     for firm_type in types])
+    return np.stack(_closed_form_profits(
+        mu, sigma, quantities, prices, types, inventory,
+        salvage_credited(config.salvage_mode))).reshape(len(types), -1)
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator):

@@ -14,7 +14,9 @@ import pytest
 from crgame import cli, equilibrium, rng as rngmod
 from crgame.equilibrium import (FIRM_TYPES, EquilibriumConfig,
                                 NonConvergenceError)
+from crgame.learning import TypeBelief
 from crgame.market import ActionGrid
+from crgame.policy import BeliefState, forecast_rival_action, select_action
 from crgame.simharness import SimConfig
 
 FAST_ARGS = ["--replications", "3", "--horizon", "5", "--seed", "11",
@@ -59,6 +61,39 @@ def test_simulate_output_tree(outdir):
     assert manifest["master_seed"] == 11
     assert len(manifest["config_hash"]) == 64
     assert "replications.csv" in manifest["outputs"]
+
+
+def test_objective_surface_scores_firm_1s_first_period_state(outdir,
+                                                             tmp_path):
+    """The surface is the proposed policy's select_action at firm 1's
+    first-period state: its rival-type belief is firm 2's high_cost_prob,
+    which the type-weighted forecast reads."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulation": {
+        "rival_forecast": "type-weighted", "high_cost_prob": [0.5, 0.9],
+        "prior_mean": [60.0, -2.0, 0.5, 3.0],
+        "price_grid": list(range(8, 25))}}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", outdir,
+                    "--replications", "1", "--horizon", "2", "--seed", "11",
+                    "--policy", "proposed-credible-risk"]) == 0
+    sim = cli.build_sim_config(cli.load_config(str(cfg), {"master_seed": 11}))
+    pcfg = sim.policy_config()
+    state = BeliefState(inventory=0.0, own_type=sim.firm_type(sim.cost_low),
+                        demand_posterior=sim.prior_hyper(),
+                        rival_type_belief=TypeBelief(np.array([0.1, 0.9])))
+    # the belief moves the forecast's price, so it moves the surface
+    even = dataclasses.replace(state,
+                               rival_type_belief=TypeBelief(np.array([0.5, 0.5])))
+    assert forecast_rival_action(state, pcfg).price != \
+        forecast_rival_action(even, pcfg).price
+    _, (means, sds, scores) = select_action(
+        state, pcfg, "proposed-credible-risk",
+        rngmod.stream(11, "objective-surface"))
+    rows = _read_rows(os.path.join(outdir, "curves", "objective_surface.csv"))
+    assert [[float(v) for v in row] for row in rows] == [
+        [a.price, a.quantity, m, sd, score]
+        for a, m, sd, score in zip(map(pcfg.actions.action, range(len(means))),
+                                   means, sds, scores)]
 
 
 def test_simulate_replications_csv_full_precision(outdir):
