@@ -220,9 +220,8 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
     # the static policy's action depends only on the prior and the firm's
     # type, so it is chosen once; it neither decides per period nor learns
     static = policy == "classical-static-prior"
-    actions = tuple(pcfg.actions.action(np.argmax(
-        static_prior_scores(prior, pcfg, firm_type))) for firm_type in types) \
-        if static else (None, None)
+    actions = tuple(pcfg.actions.action(np.argmax(static_prior_scores(
+        prior, pcfg, firm_type))) if static else None for firm_type in types)
 
     posterior = prior
     beliefs = config.initial_beliefs()
