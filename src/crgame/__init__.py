@@ -11,11 +11,10 @@ from .market import (Action, DemandParams, FirmType, MarketState,
                      PeriodOutcome, censor_sales, latent_demand,
                      one_period_profit, simulate_period, step_inventory)
 from .learning import (ObservationRecord, PosteriorDegenerateError,
-                       PosteriorHyper, TypeBelief, batch_conjugate_posterior,
-                       conjugate_update, gibbs_refresh, online_update,
-                       posterior_mse, sample_truncated_latent,
-                       truncated_normal_lower, truncated_normal_upper,
-                       update_type_belief)
+                       PosteriorHyper, TypeBelief, conjugate_update,
+                       gibbs_refresh, online_update, posterior_mse,
+                       sample_truncated_latent, truncated_normal_lower,
+                       truncated_normal_upper, update_type_belief)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      expected_profit_closed_form,
                      expected_sales_closed_form, forecast_rival_action,
@@ -24,7 +23,7 @@ from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,
                           EquilibriumModel, IterationDiagnostics,
                           NonConvergenceError, build_belief_grid,
                           build_dynamics, contraction_check,
-                          equilibrium_iteration, myopic_policy, value_iterate)
+                          equilibrium_iteration, value_iterate)
 from .simharness import (BootstrapReport, ExperimentSummary, PolicySummary,
                          ReplicationRecord, SimConfig, bootstrap_diff,
                          dominance_curve, relative_improvement,

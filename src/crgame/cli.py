@@ -339,7 +339,9 @@ def cmd_equilibrium(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    eq_rng = rngmod.stream(sim.master_seed, "equilibrium")
+    # only the hyperparameter refresh draws; building a stream loads numpy.random
+    eq_rng = (rngmod.stream(sim.master_seed, "equilibrium")
+              if eq_config.refresh_trajectories > 0 else None)
     try:
         (pol1, pol2), values, model, diag = equilibrium_iteration(
             eq_config, model, rng=eq_rng)

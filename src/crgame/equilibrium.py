@@ -7,6 +7,9 @@ expectations use Gauss-Hermite quadrature over demand noise, so the Bellman
 operator is deterministic and its contraction modulus follows exactly from the
 branch weights (``contraction_check``). Posterior updates after a simulated
 transition are projected to the nearest grid node (ties to the lower node).
+Each best response is solved by policy iteration, and each policy is
+evaluated exactly by a restarted GMRES solve of ``(I - delta P_pi) v = r_pi``
+whose matrix-vector product is one gather sweep, so no N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "value_iterate",
     "equilibrium_iteration",
     "contraction_check",
-    "myopic_policy",
 ]
 
 
@@ -43,6 +45,10 @@ FIRM_TYPES = (0, 1)
 # how far a node's branch weights may sum from 1 for ``contraction_check``;
 # the quadrature's sums lie within 2.2e-16
 WEIGHT_SUM_TOL = 1e-12
+
+# Arnoldi steps per GMRES cycle of ``_evaluate_policy``; the basis it keeps
+# is (GMRES_RESTART + 1) x N
+GMRES_RESTART = 30
 
 
 class NonConvergenceError(RuntimeError):
@@ -57,7 +63,8 @@ class EquilibriumConfig:
 
     ``tol`` is the sup-norm stopping tolerance of each best response.
     ``max_iter`` bounds both the policy iterations of a best response and the
-    sweeps of each policy evaluation inside it (see ``value_iterate``).
+    matrix-vector products of each policy evaluation inside it (see
+    ``value_iterate``).
     ``sweep_cap`` bounds the rounds of alternating best responses.
     """
 
@@ -260,20 +267,20 @@ def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
 def value_iterate(dyn: DiscretizedDynamics, config: EquilibriumConfig,
                   initial: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, IterationDiagnostics]:
-    """Solve one firm's best response to ``dyn`` by modified policy iteration.
+    """Solve one firm's best response to ``dyn`` by policy iteration.
 
     Starting from the greedy policy of ``initial`` (zeros by default), each
-    iteration evaluates the current policy by iterating its fixed-policy
-    operator until the sup-norm change is below ``config.tol``, then improves
-    it with one Bellman sweep. The diagnostics record, per iteration, that
-    sweep's ``sup|Tv - v|`` and the number of nodes whose action changed.
+    iteration evaluates the current policy to within ``config.tol`` of its
+    value by a linear solve (``_evaluate_policy``), then improves it with one
+    Bellman sweep. The diagnostics record, per iteration, that sweep's
+    ``sup|Tv - v|`` and the number of nodes whose action changed.
     The solve stops when ``sup|Tv - v| < tol`` and returns ``Tv`` with its
     greedy policy, as value iteration would, so the returned values lie
     within ``tol * delta / (1 - delta)`` of the fixed point.
 
     ``config.max_iter`` bounds both the number of policy iterations and the
-    sweeps of each policy evaluation; reaching either bound raises
-    ``NonConvergenceError``.
+    matrix-vector products of each policy evaluation; reaching either bound,
+    or an evaluation that stalls, raises ``NonConvergenceError``.
     """
     n_nodes = dyn.reward.shape[0]
     values = np.zeros(n_nodes) if initial is None else np.asarray(initial, float)
@@ -300,25 +307,75 @@ def value_iterate(dyn: DiscretizedDynamics, config: EquilibriumConfig,
 def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarray,
                      weights: np.ndarray, config: EquilibriumConfig,
                      diag: IterationDiagnostics) -> np.ndarray:
-    """Iterate ``v <- r + delta * sum(w * v[next_idx])`` for one fixed policy.
+    """Solve ``(I - delta P) v = r`` for one fixed policy by restarted GMRES.
 
-    ``reward`` is (N,), ``next_idx`` and ``weights`` are (N, B, K). Stops when
-    the sup-norm change is below ``config.tol``.
+    ``reward`` is (N,), ``next_idx`` and ``weights`` are (N, B, K), and
+    ``(P v)[n] = sum(weights[n] * v[next_idx[n]])``, so each matrix-vector
+    product is one gather sweep; no N x N matrix is formed. The solve starts
+    from ``values`` and restarts after ``GMRES_RESTART`` Arnoldi steps. It
+    stops when the residual ``max|r + delta P v - v|`` is below
+    ``(1 - delta) * config.tol``, which bounds ``|v - v_pi|`` by
+    ``config.tol``, because ``(I - delta P)^-1`` has sup-norm
+    ``1 / (1 - delta)``. Reaching
+    ``config.max_iter`` products, or a restart cycle that does not lower the
+    residual's 2-norm, raises ``NonConvergenceError``.
     """
-    for _ in range(config.max_iter):
-        new_vals = reward + config.delta * np.einsum("nbk,nbk->n", values[next_idx],
-                                                     weights)
-        if float(np.max(np.abs(new_vals - values))) < config.tol:
-            return new_vals
-        values = new_vals
-    raise NonConvergenceError(
-        f"policy evaluation did not reach tol={config.tol} in {config.max_iter} "
-        "sweeps", diag)
+    delta = config.delta
+    threshold = (1.0 - delta) * config.tol
 
+    def operator(v):
+        return v - delta * np.einsum("nbk,nbk->n", v[next_idx], weights)
 
-def myopic_policy(dyn: DiscretizedDynamics) -> np.ndarray:
-    """Greedy one-step credible-risk policy (no continuation term)."""
-    return dyn.reward.argmax(axis=1)
+    residual = reward - operator(values)
+    products = 1
+    norm = float(np.linalg.norm(residual))
+    while float(np.max(np.abs(residual))) >= threshold:
+        steps = min(GMRES_RESTART, config.max_iter - products - 1)
+        if steps < 1:
+            raise NonConvergenceError(
+                f"policy evaluation did not reach tol={config.tol} in "
+                f"{config.max_iter} matrix-vector products", diag)
+        # Arnoldi with classical Gram-Schmidt run twice; Givens rotations
+        # keep the Hessenberg least-squares problem triangular, and g[j + 1]
+        # is the residual 2-norm after j + 1 steps
+        basis = np.empty((steps + 1, values.size))
+        basis[0] = residual / norm
+        tri = np.zeros((steps, steps))
+        cos, sin = np.zeros(steps), np.zeros(steps)
+        g = np.zeros(steps + 1)
+        g[0] = norm
+        for j in range(steps):
+            w = operator(basis[j])
+            products += 1
+            h = np.zeros(j + 2)
+            for _ in range(2):
+                coef = basis[:j + 1] @ w
+                w -= coef @ basis[:j + 1]
+                h[:j + 1] += coef
+            h[j + 1] = np.linalg.norm(w)
+            for i in range(j):
+                h[i], h[i + 1] = (cos[i] * h[i] + sin[i] * h[i + 1],
+                                  cos[i] * h[i + 1] - sin[i] * h[i])
+            rho = np.hypot(h[j], h[j + 1])
+            cos[j], sin[j] = h[j] / rho, h[j + 1] / rho
+            tri[:j, j] = h[:j]
+            tri[j, j] = rho
+            g[j + 1] = -sin[j] * g[j]
+            g[j] *= cos[j]
+            if abs(g[j + 1]) < threshold:
+                break
+            basis[j + 1] = w / h[j + 1]
+        k = j + 1
+        values = values + np.linalg.solve(tri[:k, :k], g[:k]) @ basis[:k]
+        residual = reward - operator(values)
+        products += 1
+        new_norm = float(np.linalg.norm(residual))
+        if not new_norm < norm:
+            raise NonConvergenceError(
+                f"policy evaluation stalled at residual {new_norm:.3g} after "
+                f"{products} matrix-vector products", diag)
+        norm = new_norm
+    return values
 
 
 def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,

@@ -16,16 +16,15 @@ from scipy import stats
 from crgame import cli, rng as rngmod
 from crgame.equilibrium import (EquilibriumConfig, EquilibriumModel,
                                 bellman_core, build_belief_grid, build_dynamics,
-                                equilibrium_iteration, myopic_policy,
-                                value_iterate)
-from crgame.learning import (PosteriorHyper, TypeBelief,
-                             batch_conjugate_posterior, gibbs_refresh,
+                                equilibrium_iteration, value_iterate)
+from crgame.learning import (PosteriorHyper, TypeBelief, gibbs_refresh,
                              posterior_mse, truncated_normal_lower)
 from crgame.market import Action, ActionGrid, DemandParams, FirmType
 from crgame.policy import (BeliefState, PolicyConfig,
                            expected_sales_floored, select_action)
 from crgame.simharness import (SimConfig, bootstrap_diff,
                                relative_improvement, run_experiment)
+from oracles import batch_conjugate_posterior, myopic_policy
 
 LOW = FirmType(c=6.0, h=0.8, s=1.5)
 HIGH = FirmType(c=10.0, h=0.8, s=1.5)

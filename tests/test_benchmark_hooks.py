@@ -132,22 +132,31 @@ def test_traced_child_runs_a_study(tmp_path):
     assert side["trace"]["counts"]["market.observations"] == 18
 
 
-def test_traced_child_runs_a_solve(tmp_path):
-    config = tmp_path / "eq.json"
+def _traced_solve_spans(run_dir, **settings):
+    """The spans of a traced child solving a 2 x 2 x 2 grid in ``run_dir``."""
+    run_dir.mkdir()
+    config = run_dir / "eq.json"
     config.write_text(json.dumps({"equilibrium": {
         "inventory_axis": [0.0, 10.0], "intercept_axis": [30.0, 45.0],
-        "belief_axis": [0.0, 1.0]}}))
-    side = _run_child(tmp_path, "trace", "equilibrium", "--config",
-                      str(config), "--out", str(tmp_path / "eq"),
-                      "--seed", "3")
+        "belief_axis": [0.0, 1.0], **settings}}))
+    side = _run_child(run_dir, "trace", "equilibrium", "--config",
+                      str(config), "--out", str(run_dir / "eq"), "--seed", "3")
     assert side["replications"] == []
-    spans = side["trace"]["spans"]
+    return side["trace"]["spans"]
+
+
+def test_traced_child_runs_a_solve(tmp_path):
+    spans = _traced_solve_spans(tmp_path / "default")
     for layer in ("cli.config", "equilibrium.build_belief_grid",
                   "equilibrium.equilibrium_iteration",
                   "equilibrium.best_response", "equilibrium.build_dynamics",
                   "equilibrium.bellman", "equilibrium.contraction_check",
-                  "rng.stream", "cli.write"):
+                  "cli.write"):
         assert spans.get(layer, {}).get("calls", 0) > 0, layer
+    # only the hyperparameter refresh draws, so only it builds a stream
+    assert spans.get("rng.stream", {}).get("calls", 0) == 0
+    refresh = _traced_solve_spans(tmp_path / "refresh", refresh_trajectories=2)
+    assert refresh.get("rng.stream", {}).get("calls", 0) >= 1
 
 
 def test_child_without_learning_leaves_every_policy_at_the_prior(tmp_path):

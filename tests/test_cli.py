@@ -679,13 +679,16 @@ def test_main_freezes_what_is_alive_for_the_exit_collection(tmp_path):
 
 def test_equilibrium_never_imports_scipy_special(tmp_path):
     # importing scipy.special takes ~0.3 s and slows interpreter shutdown;
-    # only the simulation's samplers need it
+    # only the simulation's samplers need it. The policy evaluation's linear
+    # solve needs no scipy.sparse, and a solve without the hyperparameter
+    # refresh draws nothing, so it needs no numpy.random
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
             "from crgame import cli\n"
             f"assert cli.main(['equilibrium', '--out', {str(tmp_path / 'eq')!r}]) == 0\n"
-            "assert 'scipy.special' not in sys.modules\n")
+            "for name in ('scipy.special', 'scipy.sparse', 'numpy.random'):\n"
+            "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -749,15 +752,15 @@ def test_simulate_tree_is_pinned_per_noise_and_learning_mode(
 PINNED_EQUILIBRIUM_TREES = {
     "default": (
         {},
-        "2a69176a4c082fd33a9c7179224324ae24f32f863f4c55a54d5a78a12256862f"),
+        "8d031bad65a2f2f78b73879ee293772ab7d10752850bc3be11b0395309d467b1"),
     "fine-axes": (
         {"inventory_axis": [5.0 * i for i in range(8)],
          "intercept_axis": [30.0 + 3.75 * i for i in range(8)],
          "belief_axis": [0.0, 0.5, 1.0]},
-        "540cd1d95a65ac56442896ff8df3e10d585e6aa231db6b9a944a14582b4c8af6"),
+        "5e6902ed8b6cdcedfd390aaed82bf665c88a652ec191a7c9f9ca4db2d287bb85"),
     "refresh": (
         {"refresh_trajectories": 5},
-        "3be728f9263c87c1a36eb2df66af1a46f3ef59c072c38871146109722140650e"),
+        "a3b3fd67a6363d0f2b53bf46ac2e02f3c67a0fe85e884e87807a0ce160c05fcf"),
 }
 
 

@@ -10,11 +10,13 @@ from crgame.learning import PosteriorHyper
 from crgame.market import Action, ActionGrid, FirmType
 from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 EquilibriumConfig, EquilibriumModel,
-                                NonConvergenceError, bellman_core,
-                                build_belief_grid, build_dynamics,
-                                contraction_check, equilibrium_iteration,
-                                myopic_policy, value_iterate, _refresh_hyper)
+                                IterationDiagnostics, NonConvergenceError,
+                                bellman_core, build_belief_grid,
+                                build_dynamics, contraction_check,
+                                equilibrium_iteration, value_iterate,
+                                _evaluate_policy, _refresh_hyper)
 from crgame.policy import expected_profit_closed_form
+from oracles import myopic_policy
 
 LOW = FirmType(6.0, 0.8, 1.5)
 HIGH = FirmType(10.0, 0.8, 1.5)
@@ -56,11 +58,11 @@ def toy_dynamics(seed=0):
                                type_probs[:, :, None] * quad[None, None, :])
 
 
-def fine_config():
+def fine_config(**kw):
     """The 8 x 8 x 3 = 192-node grid with the default 8-point quadrature."""
     return make_config(inventory_axis=tuple(5.0 * i for i in range(8)),
                        intercept_axis=tuple(30.0 + 3.75 * i for i in range(8)),
-                       quad_points=8)
+                       quad_points=8, **kw)
 
 
 def reference_bellman(values, reward, next_idx, type_probs, quad, delta):
@@ -325,11 +327,130 @@ def test_value_iteration_unique_fixed_point():
 
 
 def test_value_iteration_nonconvergence_raises():
-    # toy seed 1 needs two policy iterations and many evaluation sweeps
+    # toy seed 1 needs two policy iterations, and evaluating a policy takes
+    # more than one matrix-vector product
     config = make_config(max_iter=1)
     with pytest.raises(NonConvergenceError) as err:
         value_iterate(toy_dynamics(seed=1), config)
     assert err.value.diagnostics is not None
+
+
+def dense_evaluation(reward, next_idx, weights, delta):
+    """``np.linalg.solve(I - delta P, r)`` with P assembled entry by entry."""
+    n = reward.size
+    P = np.zeros((n, n))
+    for node in range(n):
+        for succ, w in zip(next_idx[node].ravel(), weights[node].ravel()):
+            P[node, succ] += w
+    return np.linalg.solve(np.eye(n) - delta * P, reward)
+
+
+def evaluation_inputs(dyn, policy):
+    rows = np.arange(dyn.reward.shape[0])
+    return dyn.reward[rows, policy], dyn.next_idx[rows, policy], dyn.weights
+
+
+def default_grid_config(**kw):
+    """The default 4 x 4 x 3 = 48-node belief grid."""
+    axes = {f.name: f.default for f in dataclasses.fields(EquilibriumConfig)
+            if f.name.endswith("_axis")}
+    return make_config(**axes, **kw)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 0.98])
+@pytest.mark.parametrize("case", ["toy0", "toy1", "toy2", "model"])
+def test_policy_evaluation_is_the_linear_solve(case, delta):
+    rng = rngmod.stream(97, "evaluation", case, int(delta * 100))
+    if case == "model":
+        config = default_grid_config(delta=delta, tol=1e-6)
+        grid = build_belief_grid(config)
+        assert grid.n_nodes == 48
+        dyn = build_dynamics(grid, config, make_model(), (LOW,),
+                             random_rivals(config, grid, 98))[0]
+    else:
+        config = make_config(delta=delta)
+        dyn = toy_dynamics(seed=int(case[-1]))
+    n_nodes, n_actions = dyn.reward.shape
+    reward, next_idx, weights = evaluation_inputs(
+        dyn, rng.integers(0, n_actions, n_nodes))
+    want = dense_evaluation(reward, next_idx, weights, delta)
+    # from zeros and from a warm start anywhere
+    for start in (np.zeros(n_nodes), rng.uniform(-1e3, 1e3, n_nodes)):
+        got = _evaluate_policy(start, reward, next_idx, weights, config,
+                               IterationDiagnostics())
+        assert np.max(np.abs(got - want)) < config.tol
+        residual = reward + delta * np.einsum("nbk,nbk->n", got[next_idx],
+                                              weights) - got
+        assert np.max(np.abs(residual)) < (1.0 - delta) * config.tol
+
+
+def test_policy_evaluation_at_zero_discount_is_the_reward():
+    config = default_grid_config(delta=0.0)
+    grid = build_belief_grid(config)
+    dyn = build_dynamics(grid, config, make_model(), (LOW,),
+                         random_rivals(config, grid, 99))[0]
+    reward, next_idx, weights = evaluation_inputs(dyn, np.full(grid.n_nodes, 4))
+    got = _evaluate_policy(np.zeros(grid.n_nodes), reward, next_idx, weights,
+                           config, IterationDiagnostics())
+    np.testing.assert_allclose(got, reward, rtol=0.0, atol=config.tol)
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102])
+def test_policy_evaluation_converges_on_random_fine_grid_policies(seed):
+    # the equilibrium-fine solve's axes, discount and tolerance, with the
+    # default product budget; a random policy gives an unstructured chain
+    config = fine_config(delta=0.98, tol=1e-6,
+                         max_iter=EquilibriumConfig.max_iter)
+    grid = build_belief_grid(config)
+    dyn = build_dynamics(grid, config, make_model(), (LOW,),
+                         random_rivals(config, grid, seed))[0]
+    policy = rngmod.stream(seed, "own").integers(0, dyn.reward.shape[1],
+                                                 grid.n_nodes)
+    reward, next_idx, weights = evaluation_inputs(dyn, policy)
+    start, _ = bellman_core(np.zeros(grid.n_nodes), dyn, config.delta)
+    got = _evaluate_policy(start, reward, next_idx, weights, config,
+                           IterationDiagnostics())
+    want = dense_evaluation(reward, next_idx, weights, config.delta)
+    assert np.max(np.abs(got - want)) < config.tol
+
+
+def cycle_inputs(n_nodes=64):
+    """A deterministic cycle through ``n_nodes`` nodes paying 1 at node 0:
+    the classic slow case of a restarted Krylov solve, whose residual
+    polynomial of degree GMRES_RESTART shrinks it by about delta ** 30 per
+    cycle, so at delta = 0.98 the solve takes several hundred products."""
+    next_idx = ((np.arange(n_nodes) + 1) % n_nodes).reshape(n_nodes, 1, 1)
+    reward = np.zeros(n_nodes)
+    reward[0] = 1.0
+    return reward, next_idx, np.ones((n_nodes, 1, 1))
+
+
+def test_policy_evaluation_raises_at_its_product_bound():
+    reward, next_idx, weights = cycle_inputs()
+    diag = IterationDiagnostics()
+    with pytest.raises(NonConvergenceError,
+                       match="in 100 matrix-vector products") as err:
+        _evaluate_policy(np.zeros(reward.size), reward, next_idx, weights,
+                         make_config(delta=0.98, tol=1e-6, max_iter=100), diag)
+    assert err.value.diagnostics is diag
+    # the default bound is enough, and the values are the cycle's
+    config = make_config(delta=0.98, tol=1e-6,
+                         max_iter=EquilibriumConfig.max_iter)
+    got = _evaluate_policy(np.zeros(reward.size), reward, next_idx, weights,
+                           config, diag)
+    steps = (reward.size - np.arange(reward.size)) % reward.size
+    want = config.delta ** steps / (1.0 - config.delta ** reward.size)
+    assert np.max(np.abs(got - want)) < config.tol
+
+
+def test_policy_evaluation_below_rounding_raises_instead_of_looping():
+    # a residual bound far below double-precision rounding of the values is
+    # out of reach: a restart cycle stops lowering the residual
+    reward, next_idx, weights = evaluation_inputs(toy_dynamics(seed=1),
+                                                  np.zeros(6, dtype=np.int64))
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        _evaluate_policy(np.zeros(6), reward, next_idx, weights,
+                         make_config(tol=1e-30), IterationDiagnostics())
 
 
 def reference_value_iteration(dyn, delta, tol, max_sweeps=100_000):

@@ -8,11 +8,12 @@ from scipy.stats import norm
 
 from crgame import learning, rng as rngmod
 from crgame.learning import (ObservationRecord, PosteriorHyper, TypeBelief,
-                             batch_conjugate_posterior, conjugate_update,
-                             gibbs_refresh, online_update, posterior_mse,
-                             sample_truncated_latent, truncated_normal_lower,
-                             truncated_normal_upper, update_type_belief)
+                             conjugate_update, gibbs_refresh, online_update,
+                             posterior_mse, sample_truncated_latent,
+                             truncated_normal_lower, truncated_normal_upper,
+                             update_type_belief)
 from crgame.market import DemandParams
+from oracles import batch_conjugate_posterior
 
 PRIOR_M = np.array([35.0, -2.0, 0.5, 3.0])
 PRIOR_S = np.diag([100.0, 4.0, 4.0, 16.0])
