@@ -23,12 +23,13 @@ import time
 
 import numpy as np
 
-from . import __version__, equilibrium, rng as rngmod
+from . import __version__, rng as rngmod
 from .market import SALVAGE_MODES, DemandParams, salvage_credited
 from .equilibrium import (FIRM_TYPES, EquilibriumConfig, EquilibriumModel,
                           NonConvergenceError, build_belief_grid,
-                          contraction_check, equilibrium_iteration)
-from .equilibrium import value_iterate  # noqa: F401  (perfbench traces cli.value_iterate)
+                          equilibrium_iteration)
+# perfbench traces cli.value_iterate and cli.contraction_check
+from .equilibrium import contraction_check, value_iterate  # noqa: F401
 from .policy import POLICIES, BeliefState, select_action
 from .simharness import (SimConfig, bootstrap_diff, run_experiment,
                          summarize_relative)
@@ -343,19 +344,13 @@ def cmd_equilibrium(args) -> int:
     eq_rng = (rngmod.stream(sim.master_seed, "equilibrium")
               if eq_config.refresh_trajectories > 0 else None)
     try:
-        (pol1, pol2), values, model, diag = equilibrium_iteration(
+        (pol1, pol2), values, _, diag = equilibrium_iteration(
             eq_config, model, rng=eq_rng)
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     # each firm's values as the type it plays, from the iteration's last round
     value1, value2 = (values[f][k] for f, k in enumerate(FIRM_TYPES))
-
-    # firm 1's Bellman operator against firm 2's policies, under the solved model
-    report = contraction_check(
-        equilibrium.build_dynamics(grid, eq_config, model,
-                                   (model.rival_types[FIRM_TYPES[0]],), pol2)[0],
-        eq_config)
 
     try:
         with _staged(args.out) as stage:
@@ -379,8 +374,12 @@ def cmd_equilibrium(args) -> int:
                 "converged": diag.converged,
                 "sup_norm_deltas": list(diag.sup_norm_deltas),
                 "policy_change_counts": list(diag.policy_change_counts),
+                "dynamics_builds": list(diag.dynamics_builds),
+                "matvec_products": list(diag.matvec_products),
             })
-            write_json(os.path.join(stage, "contraction.json"), report)
+            # firm 1's Bellman operator in the last round, certified as the
+            # solve built it: the one whose fixed point value_firm1 is
+            write_json(os.path.join(stage, "contraction.json"), diag.contraction)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

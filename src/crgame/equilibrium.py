@@ -7,9 +7,15 @@ expectations use Gauss-Hermite quadrature over demand noise, so the Bellman
 operator is deterministic and its contraction modulus follows exactly from the
 branch weights (``contraction_check``). Posterior updates after a simulated
 transition are projected to the nearest grid node (ties to the lower node).
+A node's belief enters its dynamics only through its rival-type weights and
+its successors' belief index, so ``build_dynamics`` does its heavy work once
+per cell, a distinct (inventory, intercept mean, rival price), and mixes each
+node's two rival-type branches by the law of total variance.
 Each best response is solved by policy iteration, and each policy is
 evaluated exactly by a restarted GMRES solve of ``(I - delta P_pi) v = r_pi``
 whose matrix-vector product is one gather sweep, so no N x N matrix is built.
+Each build is certified as it is made, so the solve hands back the
+certificate of firm 1's last operator without building it again.
 """
 
 from __future__ import annotations
@@ -134,8 +140,17 @@ class BeliefGrid:
 
 @dataclass
 class IterationDiagnostics:
+    """Per step of a best response (a policy iteration) or of the equilibrium
+    iteration (a round): the sup-norm change, the policy changes and the
+    GMRES matrix-vector products spent; per round also the builds of the
+    dynamics. ``contraction`` is the equilibrium iteration's certificate of
+    firm 1's Bellman operator in its last round."""
+
     sup_norm_deltas: list = field(default_factory=list)
     policy_change_counts: list = field(default_factory=list)
+    matvec_products: list = field(default_factory=list)
+    dynamics_builds: list = field(default_factory=list)
+    contraction: dict | None = None
     converged: bool = False
 
 
@@ -193,8 +208,18 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     rival type (low, high); the rival is assumed to act from the mirrored
     node. Rewards are credible-risk scores over the joint (rival type, demand
     noise) mixture; the type-belief transition follows Bayes' rule against
-    the rival's deterministic per-type policies. One pass per price: sales,
-    leftover stock and profit broadcast over the quantity grid.
+    the rival's deterministic per-type policies.
+
+    A node's belief enters only through its type weights and its successors'
+    belief index, so the heavy work runs once per cell: a distinct
+    (inventory, intercept mean, rival price) over the (node, rival type)
+    branches. Per own price, a cell computes demand, sales and leftover stock
+    over (quantity, quadrature node), their projection onto the inventory
+    and intercept axes, and each own type's branch mean ``M`` and variance
+    ``V`` of profit over the quadrature. A node mixes its two branches' cells
+    by the law of total variance, ``mean = sum_b pi_b M_b`` and ``var =
+    sum_b pi_b (V_b + (M_b - mean)^2)``, and adds its branch's belief index
+    to the cell's successor.
 
     Returns one DiscretizedDynamics per own type. Transitions and weights
     depend only on the rival, so the types share them; each type's reward is
@@ -209,40 +234,58 @@ def build_dynamics(grid: BeliefGrid, config: EquilibriumConfig,
     inv, m0, mu_hi = grid.nodes.T
     type_probs = np.stack([1.0 - mu_hi, mu_hi], axis=1)                 # (N, B)
     weights = type_probs[:, :, None] * wq[None, None, :]               # (N, B, K)
-    w_joint = weights[:, None]                                         # (N, 1, B, K)
 
     rival_actions = np.stack(rival_policies, axis=1)                  # (N, B)
     rp = config.actions.price(rival_actions)  # (N, B) rival price per node/type
     # a separating rival reveals its type; a pooling one leaves the belief
     separating = (rival_actions[:, 0] != rival_actions[:, 1])[:, None]
-    mu_next = np.where(separating, np.array([0.0, 1.0]),
-                       mu_hi[:, None])[:, None, :, None]               # (N, 1, B, 1)
+    mu_next = np.where(separating, np.array([0.0, 1.0]), mu_hi[:, None])
+    mu_idx = _project(grid.mu_axis, mu_next)                          # (N, B)
 
-    stock = (inv[:, None] + quants[None, :])[:, :, None, None]         # (N, Q, 1, 1)
+    # the nodes of one (inventory, intercept) pair differ only in belief, so
+    # a cell is keyed by that pair and the rival's price level
+    levels, level = np.unique(rp, return_inverse=True)
+    pair = np.arange(n_nodes) // grid.mu_axis.size
+    keys = pair[:, None] * levels.size + level.reshape(rp.shape)
+    _, first, cells = np.unique(keys, return_index=True, return_inverse=True)
+    cells = cells.reshape(rp.shape)                  # (N, B) cell of each branch
+    node, branch = np.divmod(first, 2)
+    c_m0, c_rp = m0[node], rp[node, branch]                            # (C,)
+    stock = (inv[node, None] + quants[None, :])[:, :, None]            # (C, Q, 1)
 
+    probs = type_probs[:, :, None]                                     # (N, B, 1)
     rewards = [np.empty((n_nodes, prices.size, quants.size)) for _ in own_types]
     next_idx = np.empty((n_nodes, prices.size, quants.size, 2, zq.size), dtype=np.int64)
     for ip, p in enumerate(prices):
         # predictive demand; the lagged rival stockout is frozen at 0, and
         # the sd includes the frozen coefficient uncertainty
-        x_mean = m0[:, None] + coef[1] * p + coef[2] * rp             # (N, B)
-        x_cov = np.stack([np.ones_like(rp), np.full_like(rp, p), rp,
-                          np.zeros_like(rp)], axis=2)                  # (N, B, 4)
-        quad_form = np.einsum("nbi,ij,nbj->nb", x_cov, S, x_cov)
+        x_mean = c_m0 + coef[1] * p + coef[2] * c_rp                  # (C,)
+        x_cov = np.stack([np.ones_like(c_rp), np.full_like(c_rp, p), c_rp,
+                          np.zeros_like(c_rp)], axis=1)                # (C, 4)
+        quad_form = np.einsum("ci,ij,cj->c", x_cov, S, x_cov)
         sd_pred = hyper.predictive_sd(quad_form)
-        demand = x_mean[:, :, None] + sd_pred[:, :, None] * zq         # (N, B, K)
-        gains = (x_cov @ S)[:, :, 0] / hyper.update_denom(quad_form)
-        m0_next = m0[:, None, None] + gains[:, :, None] * (demand - x_mean[:, :, None])
+        demand = x_mean[:, None] + sd_pred[:, None] * zq               # (C, K)
+        gains = (x_cov @ S)[:, 0] / hyper.update_denom(quad_form)
+        m0_next = c_m0[:, None] + gains[:, None] * (demand - x_mean[:, None])
 
-        sales = np.clip(demand[:, None], 0.0, stock)                   # (N, Q, B, K)
+        sales = np.clip(demand[:, None], 0.0, stock)                   # (C, Q, K)
         left = stock - sales
         for reward, own_type in zip(rewards, own_types):
-            prof = period_profit(p, sales, quants[:, None, None], left,
+            prof = period_profit(p, sales, quants[:, None], left,
                                  own_type, model.salvage_on)
-            mean = (w_joint * prof).sum(axis=(2, 3))
-            var = (w_joint * (prof - mean[:, :, None, None]) ** 2).sum(axis=(2, 3))
+            cell_mean = prof @ wq                                      # (C, Q)
+            cell_var = (prof - cell_mean[:, :, None]) ** 2 @ wq
+            # the law of total variance over the node's two branches
+            branch_mean = cell_mean[cells]                             # (N, B, Q)
+            mean = (probs * branch_mean).sum(axis=1)
+            var = (probs * (cell_var[cells]
+                            + (branch_mean - mean[:, None]) ** 2)).sum(axis=1)
             reward[:, ip] = mean - config.kappa * np.sqrt(np.maximum(var, 0.0))
-        next_idx[:, ip] = grid.locate(left, m0_next[:, None], mu_next)
+        # each cell's successors at belief index 0; a branch adds its own
+        succ = grid.locate(left, m0_next[:, None], grid.mu_axis[0])    # (C, Q, K)
+        for b in (0, 1):
+            np.add(succ[cells[:, b]], mu_idx[:, b, None, None],
+                   out=next_idx[:, ip, :, b])
 
     next_idx = next_idx.reshape(n_nodes, -1, 2, zq.size)
     return tuple(DiscretizedDynamics(reward.reshape(n_nodes, -1), next_idx, weights)
@@ -318,7 +361,8 @@ def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarra
     ``config.tol``, because ``(I - delta P)^-1`` has sup-norm
     ``1 / (1 - delta)``. Reaching
     ``config.max_iter`` products, or a restart cycle that does not lower the
-    residual's 2-norm, raises ``NonConvergenceError``.
+    residual's 2-norm, raises ``NonConvergenceError``. The products a solve
+    spent are appended to ``diag.matvec_products``.
     """
     delta = config.delta
     threshold = (1.0 - delta) * config.tol
@@ -375,6 +419,7 @@ def _evaluate_policy(values: np.ndarray, reward: np.ndarray, next_idx: np.ndarra
                 f"policy evaluation stalled at residual {new_norm:.3g} after "
                 f"{products} matrix-vector products", diag)
         norm = new_norm
+    diag.matvec_products.append(products)
     return values
 
 
@@ -393,7 +438,11 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     A best response depends only on the rival's policy pair and the frozen
     model, and every one starts from zeros, so each distinct pair is solved
     once per model: a repeated pair reuses the earlier result, which is what
-    a fresh solve would return.
+    a fresh solve would return. The diagnostics count, per round, the builds
+    of the dynamics and the matrix-vector products of the best responses
+    solved in it, and keep the contraction certificate of the dynamics firm
+    1 faced in the last round: the operator whose fixed point its returned
+    values are.
     """
     if config.refresh_trajectories > 0 and rng is None:
         raise ValueError("refresh_trajectories > 0 needs an rng to draw "
@@ -403,26 +452,36 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
     policies = [[np.full(grid.n_nodes, mid, dtype=np.int64)] * 2 for _ in (0, 1)]
     values = [[None, None], [None, None]]
     diag = IterationDiagnostics()
-    solved = {}  # rival pair's action bytes -> per-own-type (values, policy, diag)
+    # rival pair's action bytes -> (per-own-type (values, policy, diag),
+    # contraction certificate)
+    solved = {}
 
     for sweep in range(config.sweep_cap):
         if sweep > 0 and config.refresh_trajectories > 0:
             model = _refresh_hyper(grid, config, model, policies, rng)
             solved.clear()
-        changes = 0
+        changes = builds = products = 0
         sup_delta = 0.0
         for firm in (0, 1):
             rivals = tuple(policies[1 - firm])
             key = tuple(pol.tobytes() for pol in rivals)
             if key not in solved:
                 solved[key] = _best_responses(grid, config, model, rivals)
-            for k, (vals, new_pol, vi_diag) in enumerate(solved[key]):
+                builds += 1
+                products += sum(sum(vi_diag.matvec_products)
+                                for _, _, vi_diag in solved[key][0])
+            responses, certificate = solved[key]
+            if firm == 0:
+                diag.contraction = certificate
+            for k, (vals, new_pol, vi_diag) in enumerate(responses):
                 values[firm][k] = vals
                 changes += int(np.count_nonzero(new_pol != policies[firm][k]))
                 sup_delta = max(sup_delta, vi_diag.sup_norm_deltas[-1])
                 policies[firm][k] = new_pol
         diag.policy_change_counts.append(changes)
         diag.sup_norm_deltas.append(sup_delta)
+        diag.dynamics_builds.append(builds)
+        diag.matvec_products.append(products)
         if changes == 0:
             diag.converged = True
             break
@@ -432,10 +491,13 @@ def equilibrium_iteration(config: EquilibriumConfig, model: EquilibriumModel,
 
 def _best_responses(grid: BeliefGrid, config: EquilibriumConfig,
                     model: EquilibriumModel, rivals: tuple) -> tuple:
-    """Each own type's best response to one rival policy pair, from one
-    build; the build is freed on return, so at most one is alive at a time."""
+    """Each own type's best response to one rival policy pair, and the
+    contraction certificate of its dynamics, from one build; the build is
+    freed on return, so at most one is alive at a time."""
     dyns = build_dynamics(grid, config, model, model.rival_types, rivals)
-    return tuple(value_iterate(dyn, config) for dyn in dyns)
+    # the certificate reads only the transitions and weights the types share
+    return (tuple(value_iterate(dyn, config) for dyn in dyns),
+            contraction_check(dyns[0], config))
 
 
 def _refresh_hyper(grid: BeliefGrid, config: EquilibriumConfig,

@@ -7,7 +7,6 @@ thread count, and repeated runs all reproduce identically.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -324,6 +323,8 @@ def run_experiment(config: SimConfig, policies: tuple = POLICIES,
     # import competes for the GIL with the other worker (measured on a
     # 2-vCPU x86_64 box: +0.17 to +0.33 s per study), so load it up front.
     import scipy.special  # noqa: F401
+    # the pool's import loads logging, queue and more; the solver needs none
+    from concurrent.futures import ThreadPoolExecutor
     records = {}
     for policy in policies:
         # a pool per policy: one pool kept across the policies raised a

@@ -150,8 +150,7 @@ def test_traced_child_runs_a_solve(tmp_path):
     for layer in ("cli.config", "equilibrium.build_belief_grid",
                   "equilibrium.equilibrium_iteration",
                   "equilibrium.best_response", "equilibrium.build_dynamics",
-                  "equilibrium.bellman", "equilibrium.contraction_check",
-                  "cli.write"):
+                  "equilibrium.bellman", "cli.write"):
         assert spans.get(layer, {}).get("calls", 0) > 0, layer
     # only the hyperparameter refresh draws, so only it builds a stream
     assert spans.get("rng.stream", {}).get("calls", 0) == 0

@@ -459,28 +459,20 @@ def test_default_config_builds_the_dataclass_defaults():
 
 def _traced_equilibrium(tmp_path, monkeypatch, config=None):
     """Run ``crgame equilibrium --seed 3``; return the iteration's arguments
-    and result, the contraction check's arguments, the last build's
-    arguments and result, and the output dir."""
+    and result, the last build's arguments and result, and the output dir."""
     seen = {}
-    iterate, check, build = (equilibrium.equilibrium_iteration,
-                             equilibrium.contraction_check,
-                             equilibrium.build_dynamics)
+    iterate, build = equilibrium.equilibrium_iteration, equilibrium.build_dynamics
 
     def iteration(*args, **kwargs):
         seen["args"] = args
         seen["result"] = iterate(*args, **kwargs)
         return seen["result"]
 
-    def contraction_check(*args):
-        seen["check"] = args
-        return check(*args)
-
     def build_dynamics(*args):
         seen["build"] = args, build(*args)
         return seen["build"][1]
 
     monkeypatch.setattr(cli, "equilibrium_iteration", iteration)
-    monkeypatch.setattr(cli, "contraction_check", contraction_check)
     monkeypatch.setattr(equilibrium, "build_dynamics", build_dynamics)
     out = tmp_path / "eq"
     argv = ["equilibrium", "--out", str(out), "--seed", "3"]
@@ -504,20 +496,39 @@ def test_equilibrium_outputs_score_each_firm_against_its_rival(tmp_path,
     (pol1, pol2), _, model, _ = seen["result"]
     grid = equilibrium.build_belief_grid(config)
     low, high = model.rival_types
-    # the contraction check runs on the low-cost firm 1's dynamics against
-    # firm 2's policies, under the solved model
-    (_, _, check_model, check_types, check_rival), dyns = seen["build"]
-    assert seen["check"][0] is dyns[0]
-    assert check_model is model and check_rival is pol2 and check_types == (low,)
     # firm 1's values are its low-cost best response to firm 2's policy pair
     # and firm 2's its high-cost one to firm 1's, bit for bit
     dyn1 = equilibrium.build_dynamics(grid, config, model, (low,), pol2)[0]
     dyn2 = equilibrium.build_dynamics(grid, config, model, (high,), pol1)[0]
+    # the certificate is of firm 1's dynamics against firm 2's policies,
+    # under the solved model
+    with open(out / "contraction.json", encoding="utf-8") as fh:
+        assert json.load(fh) == equilibrium.contraction_check(dyn1, config)
     want1, _, _ = equilibrium.value_iterate(dyn1, config)
     want2, _, _ = equilibrium.value_iterate(dyn2, config)
     rows = _read_rows(out / "values.csv")
     assert [float(r[3]) for r in rows] == want1.tolist()
     assert [float(r[4]) for r in rows] == want2.tolist()
+
+
+def test_unconverged_solve_certifies_the_operator_its_values_solve(tmp_path):
+    # stopped by the sweep cap after one round, firm 1's values are its best
+    # response to firm 2's starting (midpoint) policies, not to the ones
+    # firm 2 answered with in that round; the certificate is of that operator
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"equilibrium": {"sweep_cap": 1}}))
+    out = tmp_path / "eq"
+    assert run_cli(["equilibrium", "--out", str(out), "--config", str(path),
+                    "--seed", "3"]) == cli.EXIT_NONCONVERGED
+    config, model, _ = cli.build_eq_inputs(cli.load_config(str(path), {}))
+    grid = equilibrium.build_belief_grid(config)
+    mid = np.full(grid.n_nodes, config.actions.index(config.actions.midpoint))
+    dyn1 = equilibrium.build_dynamics(grid, config, model,
+                                      model.rival_types[:1], (mid, mid))[0]
+    want, _, _ = equilibrium.value_iterate(dyn1, config)
+    assert [float(r[3]) for r in _read_rows(out / "values.csv")] == want.tolist()
+    with open(out / "contraction.json", encoding="utf-8") as fh:
+        assert json.load(fh) == equilibrium.contraction_check(dyn1, config)
 
 
 def test_equilibrium_solves_at_the_simulation_kappa(tmp_path, monkeypatch):
@@ -548,7 +559,7 @@ def test_equilibrium_refresh_writes_best_responses_under_refreshed_model(
     policies, _, model, diag = seen["result"]
     assert diag.converged and len(diag.policy_change_counts) > 2
     assert not np.array_equal(model.hyper.m, prior.hyper.m)
-    # the contraction check's build is under the refreshed model
+    # the last round's build is under the refreshed model
     assert seen["build"][0][2] is model
     grid = equilibrium.build_belief_grid(config)
     values = np.array([[float(v) for v in row[3:]]
@@ -605,15 +616,20 @@ def test_converged_solve_builds_and_solves_each_distinct_rival_pair_once(
     out = tmp_path / "eq"
     assert run_cli(["equilibrium", "--out", str(out)]) == 0
     with open(out / "diagnostics.json") as fh:
-        rounds = len(json.load(fh)["policy_change_counts"])
+        diag = json.load(fh)
+    rounds = len(diag["policy_change_counts"])
     builds = [key for name, _, key in calls if name == "build_dynamics"]
     solves = [key for name, _, key in calls if name == "value_iterate"]
-    # one build per distinct rival pair, serving both own types, then one
-    # for the contraction check; a pair faced again is not solved again
-    pairs = builds[:-1]
-    assert len(set(pairs)) == len(pairs) < 2 * rounds
-    assert solves == [key for key in pairs for _ in (0, 1)]
-    assert (len(builds), len(solves)) == (3, 4)
+    # one build per distinct rival pair, serving both own types and the
+    # contraction certificate; a pair faced again is not solved again
+    assert len(set(builds)) == len(builds) < 2 * rounds
+    assert solves == [key for key in builds for _ in (0, 1)]
+    assert (len(builds), len(solves)) == (2, 4)
+    # the diagnostics count each round's builds and its solves' products
+    assert sum(diag["dynamics_builds"]) == len(builds)
+    assert len(diag["dynamics_builds"]) == len(diag["matvec_products"]) == rounds
+    assert [products > 0 for products in diag["matvec_products"]] == [
+        builds > 0 for builds in diag["dynamics_builds"]]
 
 
 def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
@@ -650,7 +666,7 @@ def test_refreshed_solve_builds_each_round_under_its_own_model(tmp_path,
         want += [(id(round_model), key) for key in dict.fromkeys(faced)]
     # ``calls`` holds every model it names, so their ids stay distinct
     got = [(id(m), key) for name, m, key in calls if name == "build_dynamics"]
-    assert got[:-1] == want
+    assert got == want
     solves = [(id(m), key) for name, m, key in calls if name == "value_iterate"]
     assert solves == [pair for pair in want for _ in (0, 1)]
 
@@ -680,14 +696,16 @@ def test_main_freezes_what_is_alive_for_the_exit_collection(tmp_path):
 def test_equilibrium_never_imports_scipy_special(tmp_path):
     # importing scipy.special takes ~0.3 s and slows interpreter shutdown;
     # only the simulation's samplers need it. The policy evaluation's linear
-    # solve needs no scipy.sparse, and a solve without the hyperparameter
-    # refresh draws nothing, so it needs no numpy.random
+    # solve needs no scipy.sparse, a solve without the hyperparameter
+    # refresh draws nothing, so it needs no numpy.random, and only the
+    # study's replications run on a thread pool
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
             "from crgame import cli\n"
             f"assert cli.main(['equilibrium', '--out', {str(tmp_path / 'eq')!r}]) == 0\n"
-            "for name in ('scipy.special', 'scipy.sparse', 'numpy.random'):\n"
+            "for name in ('scipy.special', 'scipy.sparse', 'numpy.random',\n"
+            "             'concurrent.futures', 'logging'):\n"
             "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -752,15 +770,15 @@ def test_simulate_tree_is_pinned_per_noise_and_learning_mode(
 PINNED_EQUILIBRIUM_TREES = {
     "default": (
         {},
-        "8d031bad65a2f2f78b73879ee293772ab7d10752850bc3be11b0395309d467b1"),
+        "1f86675a390efe20274362f596f45a275d3588bdc7860ceda108633e5a575da8"),
     "fine-axes": (
         {"inventory_axis": [5.0 * i for i in range(8)],
          "intercept_axis": [30.0 + 3.75 * i for i in range(8)],
          "belief_axis": [0.0, 0.5, 1.0]},
-        "5e6902ed8b6cdcedfd390aaed82bf665c88a652ec191a7c9f9ca4db2d287bb85"),
+        "77330a7715fcce84e263b538ccf3b88918246b02dfc553cfa8cebcdb3eba84f3"),
     "refresh": (
         {"refresh_trajectories": 5},
-        "a3b3fd67a6363d0f2b53bf46ac2e02f3c67a0fe85e884e87807a0ce160c05fcf"),
+        "ca8a493b0b7739acdf7673cba4672181b58414753422a34489c841ba2c9af249"),
 }
 
 

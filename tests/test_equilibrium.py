@@ -1,11 +1,12 @@
 """Belief-grid solver: Bellman operator, contraction, fixed points, best response."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from crgame import rng as rngmod
+from crgame import equilibrium, rng as rngmod
 from crgame.learning import PosteriorHyper
 from crgame.market import Action, ActionGrid, FirmType
 from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
@@ -16,7 +17,7 @@ from crgame.equilibrium import (BeliefGrid, DiscretizedDynamics,
                                 equilibrium_iteration, value_iterate,
                                 _evaluate_policy, _refresh_hyper)
 from crgame.policy import expected_profit_closed_form
-from oracles import myopic_policy
+from oracles import myopic_policy, reference_build_dynamics
 
 LOW = FirmType(6.0, 0.8, 1.5)
 HIGH = FirmType(10.0, 0.8, 1.5)
@@ -251,6 +252,74 @@ def test_near_deterministic_reward_is_the_closed_form_expected_profit(salvage_on
             for p, q in actions] for n, (inv, m0, mu) in enumerate(grid.nodes)])
         np.testing.assert_allclose(dyn.reward, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+# ------------------------------------------------- build against its oracle
+
+ORACLE_AXES = {"default": lambda **kw: default_grid_config(**kw),
+               "fine": lambda **kw: fine_config(**kw)}
+
+
+def oracle_rivals(kind, config, grid):
+    """A rival policy pair: both types at the midpoint, separating by price
+    (one cell per type) or by quantity alone (one cell for both, though the
+    belief jumps), or drawn per node."""
+    n_nodes, n_q = grid.n_nodes, len(config.actions.quantities)
+    mid = config.actions.index(config.actions.midpoint)
+    if kind == "random":
+        return random_rivals(config, grid, 103)
+    other = {"midpoint": mid, "separating-price": mid + n_q,
+             "separating-quantity": mid + 1}[kind]
+    return np.full(n_nodes, mid), np.full(n_nodes, other)
+
+
+def oracle_models():
+    """The models the build is checked on: noise sd learned or known, a
+    diagonal or correlated coefficient covariance, salvage on or off."""
+    m = np.array([35.0, -2.0, 0.5, 3.0])
+    sd = np.sqrt([100.0, 4.0, 4.0, 16.0])
+    corr = np.array([[1.0, -0.6, 0.3, 0.1], [-0.6, 1.0, -0.2, 0.0],
+                     [0.3, -0.2, 1.0, 0.05], [0.1, 0.0, 0.05, 1.0]])
+    for fixed_sd, correlated, salvage_on in itertools.product(
+            (None, 4.5), (False, True), (True, False)):
+        S = sd[:, None] * (corr if correlated else np.eye(4)) * sd[None, :]
+        yield EquilibriumModel(
+            rival_types=(LOW, HIGH), salvage_on=salvage_on,
+            hyper=PosteriorHyper(m, S, 3.0, 40.5, fixed_sd=fixed_sd))
+
+
+@pytest.mark.parametrize("rivals", ["midpoint", "separating-price",
+                                    "separating-quantity", "random"])
+@pytest.mark.parametrize("axes", sorted(ORACLE_AXES))
+def test_build_matches_the_node_by_node_reference(axes, rivals):
+    # the per-cell build projects exactly the reference's successors; its
+    # rewards mix the branch moments, so they agree to rounding
+    for kappa in (0.0, 0.6):
+        config = ORACLE_AXES[axes](kappa=kappa)
+        grid = build_belief_grid(config)
+        pair = oracle_rivals(rivals, config, grid)
+        for model in oracle_models():
+            got = build_dynamics(grid, config, model, (LOW, HIGH), pair)
+            want = reference_build_dynamics(grid, config, model, (LOW, HIGH), pair)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g.next_idx, w.next_idx)
+                np.testing.assert_array_equal(g.weights, w.weights)
+                np.testing.assert_allclose(g.reward, w.reward, rtol=1e-9,
+                                           atol=1e-9 * np.abs(w.reward).max())
+
+
+@pytest.mark.parametrize("axes", sorted(ORACLE_AXES))
+def test_solve_on_the_reference_build_reaches_the_same_policies(axes,
+                                                               monkeypatch):
+    for kappa, model in itertools.product((0.0, 0.6), oracle_models()):
+        config = ORACLE_AXES[axes](kappa=kappa)
+        got, _, _, _ = equilibrium_iteration(config, model)
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibrium, "build_dynamics", reference_build_dynamics)
+            want, _, _, _ = equilibrium_iteration(config, model)
+        for got_pols, want_pols in zip(got, want):
+            for got_pol, want_pol in zip(got_pols, want_pols):
+                np.testing.assert_array_equal(got_pol, want_pol)
 
 
 def test_contraction_check_on_model_dynamics():
