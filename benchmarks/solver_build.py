@@ -28,13 +28,12 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import sys
-import time
 
 import numpy as np
 
 from crgame import cli, equilibrium
+from solver_eval import median_ms  # this script's directory
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests"))
@@ -48,15 +47,6 @@ GRIDS = {  # nodes -> (inventory axis, intercept axis, belief axis)
            [0.125 * i for i in range(9)]),
 }
 RANDOM_SEEDS = (1, 2)
-
-
-def median_ms(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
 
 
 def rival_pairs(config, n_nodes):
