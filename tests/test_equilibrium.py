@@ -257,7 +257,12 @@ def test_near_deterministic_reward_is_the_closed_form_expected_profit(salvage_on
 # ------------------------------------------------- build against its oracle
 
 ORACLE_AXES = {"default": lambda **kw: default_grid_config(**kw),
-               "fine": lambda **kw: fine_config(**kw)}
+               "fine": lambda **kw: fine_config(**kw),
+               # unevenly spaced, and a belief axis short of 0 and 1
+               "uneven": lambda **kw: make_config(
+                   inventory_axis=(0.0, 3.0, 10.0, 25.0),
+                   intercept_axis=(28.0, 35.0, 47.0),
+                   belief_axis=(0.1, 0.4, 0.7, 0.9), **kw)}
 
 
 def oracle_rivals(kind, config, grid):
