@@ -18,8 +18,12 @@ Per case it reports ``cells`` (distinct (inventory, intercept mean, rival
 price) triples over the N x 2 branches), ``build_ms`` (median wall time of
 ``equilibrium.build_dynamics`` over ``--repeats`` runs) and ``reference_ms``
 (the same for the node-by-node build in ``tests/oracles.py``, which the
-package used before its builds ran per cell). Prints one JSON object with
-the machine it ran on.
+package used before its builds ran per cell). On the low-cost type's
+dynamics it also times one Bellman sweep from zeros,
+``equilibrium.bellman_core``: ``sweep_ms`` is its median wall time over
+``--repeats`` runs and ``sweep_peak_mb`` the ``tracemalloc`` peak of one
+more, the memory the sweep allocates beyond its inputs. Prints one JSON
+object with the machine it ran on.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import os
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -77,13 +82,28 @@ def time_grid(n_nodes, repeats):
         rp = config.actions.price(np.stack(rivals, axis=1))
         pair = np.arange(n_nodes) // grid.mu_axis.size
         cells = len(set(zip(np.repeat(pair, 2), rp.ravel())))
+        dyn = equilibrium.build_dynamics(*args)[0]
+        zeros = np.zeros(n_nodes)
         rows.append({
             "nodes": n_nodes, "rivals": name, "cells": cells,
             "build_ms": median_ms(lambda: equilibrium.build_dynamics(*args),
                                   repeats),
             "reference_ms": median_ms(lambda: reference_build_dynamics(*args),
-                                      repeats)})
+                                      repeats),
+            "sweep_ms": median_ms(lambda: equilibrium.bellman_core(
+                zeros, dyn, config.delta), repeats),
+            "sweep_peak_mb": sweep_peak_mb(zeros, dyn, config.delta)})
     return rows
+
+
+def sweep_peak_mb(values, dyn, delta):
+    """tracemalloc peak of one Bellman sweep, in MB."""
+    tracemalloc.start()
+    try:
+        equilibrium.bellman_core(values, dyn, delta)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv=None):

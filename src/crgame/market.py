@@ -108,6 +108,10 @@ class ActionGrid:
         """Price of flat index ``k``, elementwise when ``k`` is an int array."""
         return np.take(self.prices, np.asarray(k) // len(self.quantities))
 
+    def quantity(self, k):
+        """Quantity of flat index ``k``, elementwise when ``k`` is an int array."""
+        return np.take(self.quantities, np.asarray(k) % len(self.quantities))
+
     @property
     def midpoint(self) -> Action:
         """The grid centre, ties toward the lower price and quantity."""

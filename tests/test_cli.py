@@ -698,14 +698,16 @@ def test_equilibrium_never_imports_scipy_special(tmp_path):
     # only the simulation's samplers need it. The policy evaluation's linear
     # solve needs no scipy.sparse, a solve without the hyperparameter
     # refresh draws nothing, so it needs no numpy.random, and only the
-    # study's replications run on a thread pool
+    # study's replications run on a thread pool. hashlib maps OpenSSL's
+    # libcrypto (3.6 MB of RSS), and only the simulate manifest hashes
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
             "from crgame import cli\n"
             f"assert cli.main(['equilibrium', '--out', {str(tmp_path / 'eq')!r}]) == 0\n"
             "for name in ('scipy.special', 'scipy.sparse', 'numpy.random',\n"
-            "             'concurrent.futures', 'logging'):\n"
+            "             'concurrent.futures', 'logging', 'hashlib',\n"
+            "             '_hashlib'):\n"
             "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

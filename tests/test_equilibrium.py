@@ -142,6 +142,35 @@ def test_bellman_core_matches_explicit_branch_sum_toy(toy_seed):
         np.testing.assert_array_equal(got_g, want_g)
 
 
+def one_shot_bellman(values, dyn, delta):
+    """The whole-grid sweep: every node's successor values gathered in one
+    array and contracted in one batched product."""
+    n, a = dyn.reward.shape
+    cont = values[dyn.next_idx].reshape(n, a, -1) @ dyn.weights.reshape(n, -1, 1)
+    q_vals = dyn.reward + delta * cont[:, :, 0]
+    return q_vals.max(axis=1), q_vals.argmax(axis=1)
+
+
+BLOCK = equilibrium.SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("actions,quad_points", [(3, 2), (90, 8)])
+@pytest.mark.parametrize("n_nodes", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_bellman_core_blocks_equal_one_shot_sweep(n_nodes, actions, quad_points):
+    # a sweep in node blocks does each node's product as the one-shot sweep
+    # does, so the values and the greedy policy match bit for bit
+    reward, next_idx, type_probs, quad = toy_factors(n=n_nodes, a=actions,
+                                                     k=quad_points)
+    dyn = DiscretizedDynamics(reward, next_idx,
+                              type_probs[:, :, None] * quad[None, None, :])
+    rng = rngmod.stream(87, "blocks", n_nodes)
+    for v in (np.zeros(n_nodes), *rng.uniform(-100, 100, size=(5, n_nodes))):
+        got_v, got_g = bellman_core(v, dyn, 0.9)
+        want_v, want_g = one_shot_bellman(v, dyn, 0.9)
+        np.testing.assert_array_equal(got_v, want_v)
+        np.testing.assert_array_equal(got_g, want_g)
+
+
 def test_bellman_core_matches_explicit_branch_sum_on_model_grid():
     config = fine_config()
     model = make_model()

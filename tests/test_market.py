@@ -143,6 +143,13 @@ def test_action_grid_price_decodes_an_array_as_each_scalar():
     assert all(GRID.price(k) == GRID.action(k).price for k in ks.ravel())
 
 
+def test_action_grid_quantity_decodes_an_array_as_each_scalar():
+    ks = np.arange(N_ACTIONS).reshape(9, 10)[::-1]
+    assert GRID.quantity(ks).tolist() == [[GRID.action(k).quantity for k in row]
+                                          for row in ks]
+    assert all(GRID.quantity(k) == GRID.action(k).quantity for k in ks.ravel())
+
+
 @pytest.mark.parametrize("prices, quantities, message", [
     ((), (20.0,), "nonempty"),
     ((8.0,), (), "nonempty"),
