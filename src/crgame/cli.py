@@ -71,7 +71,7 @@ def config_hash(config_dict: dict) -> str:
     """sha256 of the config's canonical JSON, for the simulate manifest.
 
     hashlib is imported here, its one use: it maps OpenSSL's libcrypto
-    (3.6 MB of RSS), which ``crgame equilibrium`` never needs.
+    (about 3.5 MB of RSS), which ``crgame equilibrium`` never needs.
     """
     import hashlib
 

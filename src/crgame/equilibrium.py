@@ -14,6 +14,9 @@ node's two rival-type branches by the law of total variance.
 Each best response is solved by policy iteration, and each policy is
 evaluated exactly by a restarted GMRES solve of ``(I - delta P_pi) v = r_pi``
 whose matrix-vector product is one gather sweep, so no N x N matrix is built.
+A Bellman sweep gathers and contracts its successor values one block of
+``SWEEP_BLOCK`` nodes at a time, so beyond its (N, A) result it holds one
+block's gather, whatever the number of nodes.
 Each build is certified as it is made, so the solve hands back the
 certificate of firm 1's last operator without building it again.
 """

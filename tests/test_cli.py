@@ -699,7 +699,7 @@ def test_equilibrium_never_imports_scipy_special(tmp_path):
     # solve needs no scipy.sparse, a solve without the hyperparameter
     # refresh draws nothing, so it needs no numpy.random, and only the
     # study's replications run on a thread pool. hashlib maps OpenSSL's
-    # libcrypto (3.6 MB of RSS), and only the simulate manifest hashes
+    # libcrypto (about 3.5 MB of RSS), and only the simulate manifest hashes
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
