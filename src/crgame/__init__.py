@@ -14,7 +14,7 @@ from .learning import (ObservationRecord, PosteriorDegenerateError,
                        PosteriorHyper, TypeBelief, conjugate_update,
                        gibbs_refresh, online_update, posterior_mse,
                        sample_truncated_latent, truncated_normal_lower,
-                       truncated_normal_upper, update_type_belief)
+                       update_type_belief)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      expected_profit_closed_form,
                      expected_sales_closed_form, forecast_rival_action,

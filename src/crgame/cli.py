@@ -206,6 +206,11 @@ def cmd_simulate(args) -> int:
         sim_config = build_sim_config(cfg)
         policies = _requested_policies(cfg)
         epoch = _env_int("SOURCE_DATE_EPOCH")
+        try:  # before the study runs, so that it never fails at the end
+            timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
+        except (OverflowError, OSError, ValueError) as exc:
+            raise ConfigError(f"SOURCE_DATE_EPOCH {epoch} out of range: {exc}"
+                              ) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -233,7 +238,7 @@ def cmd_simulate(args) -> int:
 
     try:
         _write_simulate_outputs(args.out, cfg, sim_config, policies, summary,
-                                relative, bootstrap, epoch)
+                                relative, bootstrap, timestamp)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -260,7 +265,7 @@ def _staged(out_dir):
 
 
 def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
-                            relative, bootstrap, epoch):
+                            relative, bootstrap, timestamp):
     with _staged(out_dir) as stage:
         curves_dir = os.path.join(stage, "curves")
         os.makedirs(curves_dir)
@@ -315,7 +320,7 @@ def _write_simulate_outputs(out_dir, cfg, sim_config, policies, summary,
             "config_hash": config_hash(cfg),
             "master_seed": sim_config.master_seed,
             # SOURCE_DATE_EPOCH when set, so byte-identical trees are possible
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch)),
+            "timestamp": timestamp,
             "outputs": outputs + ["manifest.json"],
         })
 

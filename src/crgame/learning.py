@@ -10,16 +10,16 @@ history.
 A Gibbs refresh runs up to a few hundred sweeps over a few dozen records,
 so its censored rows are split out once per refresh (``_CensoredRows``) and
 it draws the uniforms, normals (and variance gammas) of all its sweeps as
-one block per refresh before the chain runs. Each sweep turns its row of
-uniforms into the rows' latents by the inverse-CDF arithmetic of the
-general samplers ``truncated_normal_lower`` and ``truncated_normal_upper``,
-which it calls, with fresh draws, only for a far-tail element. The
-known-variance refresh iterates only the latents' standardized excess over
-their bounds. So its latents agree with the general samplers' only to
-rounding on the same uniforms, and its draws differ from those of a chain
-that calls the generator every sweep. It also runs ``FIXED_CHAINS``
-independent chains in lockstep: a sweep costs a few numpy calls on arrays
-of a few dozen elements, so four chains cost little more than one.
+one block per refresh before the chain runs. Every latent, in a sweep or
+in a single imputation, is one inverse-CDF draw in log space from one
+uniform (Devroye 1986, section 2.1), exact however far into the tail its
+bound (``ObservationRecord.bound``) lies, so a refresh draws exactly its
+blocks. The known-variance refresh iterates only the latents'
+standardized excess over their bounds, so its latents agree with
+``truncated_normal_lower``'s only to rounding on the same uniforms. It
+runs ``FIXED_CHAINS`` independent chains in lockstep: a sweep costs a few
+numpy calls on arrays of a few dozen elements, so four chains cost little
+more than one.
 
 The refresh's coefficient moments are Rao-Blackwellised (Gelfand & Smith
 1990; Liu, Wong & Kong 1994): the coefficients given a sweep's latents are
@@ -51,7 +51,6 @@ __all__ = [
     "PosteriorDegenerateError",
     "conjugate_update",
     "truncated_normal_lower",
-    "truncated_normal_upper",
     "sample_truncated_latent",
     "gibbs_refresh",
     "online_update",
@@ -164,6 +163,13 @@ class ObservationRecord:
         so that an update of this record draws its latent demand."""
         return self.censored or self.floored
 
+    @property
+    def bound(self) -> tuple[float, float]:
+        """The bound of a hidden record's latent demand: ``(s, l)`` with
+        ``s * latent >= l``, ``(1, stock)`` after a stockout and
+        ``(-1, -0.0)`` for a floored zero (latent demand at most zero)."""
+        return (1.0, self.stock) if self.censored else (-1.0, -0.0)
+
 
 def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray,
                      demand: float) -> PosteriorHyper:
@@ -187,78 +193,41 @@ def conjugate_update(hyper: PosteriorHyper, covariate: np.ndarray,
     return PosteriorHyper(m, S, a, b, hyper.fixed_sd)
 
 
-_TAIL_CUT = 8.0
+def _upper_tail_quantile(neg_alpha, log_u):
+    """Standard normal quantile ``z >= -neg_alpha`` at upper-tail mass
+    ``u * ndtr(neg_alpha)``, given ``log u`` for uniforms ``u`` in (0, 1].
+    In log space it is exact at every cut; ``ndtr`` underflows past 37.5 sd."""
+    # scipy.special is imported on first use: importing it takes ~0.3 s and
+    # slows interpreter shutdown, and ``crgame equilibrium`` never needs it
+    from scipy.special import log_ndtr, ndtri_exp
+    return -ndtri_exp(log_u + log_ndtr(neg_alpha))
 
 
 def truncated_normal_lower(mean, sd, lower, rng: np.random.Generator):
     """Draw from Normal(mean, sd^2) restricted to [lower, inf).
 
-    Vectorized inverse-CDF on the upper tail; standardized truncation points
-    beyond 8 fall back to a translated-exponential rejection sampler whose
-    acceptance rate tends to one in the far tail. Scalars in, scalar out.
+    Vectorized inverse CDF, one uniform per element, at any cut; lower =
+    -inf gives an untruncated normal draw. Scalars in, scalar out.
     """
-    # scipy.special is imported on first use: importing it takes ~0.3 s and
-    # slows interpreter shutdown, and ``crgame equilibrium`` never needs it
-    from scipy.special import ndtr, ndtri
-
-    mean = np.asarray(mean, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    scalar = mean.ndim == 0 and sd.ndim == 0 and lower.ndim == 0
-    mean, sd, lower = np.broadcast_arrays(np.atleast_1d(mean), np.atleast_1d(sd),
-                                          np.atleast_1d(lower))
-    out = np.empty(mean.shape)
-
-    # lower = -inf gives alpha = -inf on the body, where ndtr(+inf) = 1 makes
-    # the inverse CDF an untruncated normal draw
-    alpha = (lower - mean) / sd
-    tail = alpha > _TAIL_CUT
-    body = ~tail
-
-    # fixed draw order: one uniform per element, extra draws only for tail cells
-    u = 1.0 - rng.random(mean.shape)  # in (0, 1]
-    if np.any(body):
-        q = ndtr(-alpha[body])  # upper-tail mass at the cut
-        z = -ndtri(u[body] * q)
-        out[body] = mean[body] + sd[body] * z
-    for idx in np.argwhere(tail):
-        i = tuple(idx)
-        a = alpha[i]
-        lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-        while True:
-            z = a + rng.exponential(1.0) / lam
-            if rng.random() <= np.exp(-0.5 * (z - lam) ** 2):
-                break
-        out[i] = mean[i] + sd[i] * z
-    out = np.maximum(out, lower)
-    return float(out[0]) if scalar else out
+    mean, sd, lower = np.broadcast_arrays(np.asarray(mean, dtype=float),
+                                          np.asarray(sd, dtype=float),
+                                          np.asarray(lower, dtype=float))
+    log_u = np.log(1.0 - rng.random(mean.shape))  # u in (0, 1]
+    out = np.maximum(
+        mean + sd * _upper_tail_quantile((mean - lower) / sd, log_u), lower)
+    return float(out) if out.ndim == 0 else out
 
 
-def truncated_normal_upper(mean, sd, upper, rng: np.random.Generator):
-    """Draw from Normal(mean, sd^2) restricted to (-inf, upper]; by reflection."""
-    draw = truncated_normal_lower(-np.asarray(mean, dtype=float), sd,
-                                  -np.asarray(upper, dtype=float), rng)
-    return -draw
-
-
-def sample_truncated_latent(hyper: PosteriorHyper, covariate: np.ndarray,
-                            bound: float, rng: np.random.Generator,
-                            side: str = "lower") -> float:
-    """One posterior-predictive latent-demand draw past a censoring bound,
-    at the posterior's point noise sd.
-
-    ``side='lower'`` restricts to [bound, inf) — a stockout hides the demand
-    excess above stock. ``side='upper'`` restricts to (-inf, bound] — zero
-    sales without a stockout reveal only that latent demand was at most zero.
-    """
-    x = np.asarray(covariate, dtype=float)
+def sample_truncated_latent(hyper: PosteriorHyper, record: ObservationRecord,
+                            rng: np.random.Generator) -> float:
+    """One posterior-predictive draw of a hidden record's latent demand past
+    its ``bound``, at the posterior's point noise sd: at least the stock
+    after a stockout, at most zero for a floored zero."""
+    x = np.asarray(record.covariate, dtype=float)
+    sign, lower = record.bound
     mean = float(x @ hyper.m)
     sd = hyper.predictive_sd(float(x @ hyper.S @ x))
-    if side == "lower":
-        return truncated_normal_lower(mean, sd, bound, rng)
-    if side == "upper":
-        return truncated_normal_upper(mean, sd, bound, rng)
-    raise ValueError(f"unknown truncation side {side!r}")
+    return sign * truncated_normal_lower(sign * mean, sd, lower, rng)
 
 
 # Burn-in and kept sweeps of each chain of a refresh, by noise mode: the
@@ -310,7 +279,7 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     m0, b0, shape = prior.m, prior.b, prior.a + 0.5 * (n + p)
 
     # one block of variates per refresh, drawn before the chain runs
-    U = 1.0 - rng.random((N, k))  # in (0, 1]
+    log_U = np.log(1.0 - rng.random((N, k)))  # logs of uniforms in (0, 1]
     Z = rng.standard_normal((N, p))
     G = rng.gamma(shape, size=N)
 
@@ -322,7 +291,7 @@ def gibbs_refresh(prior: PosteriorHyper, history: list[ObservationRecord],
     XT, rows, SX, lower, sign = X.T, cens.rows, cens.SX, cens.lower, cens.sign
     for it in range(N):
         sd = np.sqrt(sigma2[it])
-        e = cens.excess((SX @ psi - lower) / sd, sd, U[it], rng)
+        e = cens.excess((SX @ psi - lower) / sd, log_U[it])
         latent[rows] = lat_draws[it] = sign * (lower + sd * e)
         psi = Sn @ (S0_inv_m0 + XT @ latent) + sd * (Ln @ Z[it])
         resid = latent - X @ psi
@@ -359,45 +328,30 @@ class _CensoredRows:
     """The censored (stockout) and floored (zero-sales) rows of a history,
     split out once per Gibbs refresh, and the draw of their latents.
 
-    Each row has a reflection sign ``s`` (+1 censored, -1 floored) and a
-    lower bound ``l`` (the stock, or -0 for a floored row) such that
-    ``s * latent >= l``: a floored latent is drawn by the reflection of
-    ``truncated_normal_upper``. The chains carry a row's latent as its
-    standardized excess ``e = (s * latent - l) / sd >= 0``.
+    Each row has the record's ``bound``: a sign ``s`` and a lower bound
+    ``l`` with ``s * latent >= l``. The chains carry a row's latent as its
+    standardized excess ``e = (s * latent - l) / sd >= 0``. Stockouts come
+    before floored zeros, so each row keeps its column of the refresh's
+    uniforms.
     """
 
     def __init__(self, X: np.ndarray, history: list[ObservationRecord]):
-        cens = [i for i, r in enumerate(history) if r.censored]
-        floored = [i for i, r in enumerate(history)
-                   if r.floored and not r.censored]
-        self.rows = np.array(cens + floored, dtype=np.intp)
-        self.n_cens = len(cens)
-        self.lower = np.array([history[i].stock for i in cens]
-                              + [-0.0] * len(floored))
-        self.sign = np.array([1.0] * len(cens) + [-1.0] * len(floored))
+        rows = sorted((i for i, r in enumerate(history) if r.hidden),
+                      key=lambda i: not history[i].censored)
+        self.rows = np.array(rows, dtype=np.intp)
+        bounds = [history[i].bound for i in rows]
+        self.sign = np.array([sign for sign, _ in bounds])
+        self.lower = np.array([lower for _, lower in bounds])
         self.SX = self.sign[:, None] * X[self.rows]
 
-    def excess(self, neg_alpha: np.ndarray, sd: float, u: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        """Standardized excess of the rows' latents over their bounds.
-
-        ``neg_alpha`` is ``(s * mean - l) / sd`` per row (last axis; a
-        leading axis holds chains). On the body of the distribution this is
-        the general sampler's inverse CDF on the uniforms ``u`` in (0, 1].
-        Past the tail cut ``u`` goes unused and ``truncated_normal_lower``
-        draws both sides of every chain afresh from ``rng``, one call per
-        side.
-        """
-        if neg_alpha.size and neg_alpha.min() < -_TAIL_CUT:
-            lower, k = self.lower, self.n_cens
-            mean = lower + sd * neg_alpha
-            out = np.concatenate((
-                truncated_normal_lower(mean[..., :k], sd, lower[:k], rng),
-                truncated_normal_lower(mean[..., k:], sd, lower[k:], rng)),
-                axis=-1)
-            return (out - lower) / sd
-        from scipy.special import ndtr, ndtri
-        return np.maximum(neg_alpha - ndtri(u * ndtr(neg_alpha)), 0.0)
+    @staticmethod
+    def excess(neg_alpha: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+        """Standardized excess of the rows' latents over their bounds: the
+        inverse CDF of ``truncated_normal_lower`` given the logs ``log_u``
+        of uniforms in (0, 1]. ``neg_alpha`` is ``(s * mean - l) / sd`` per
+        row (last axis; a leading axis holds chains)."""
+        return np.maximum(neg_alpha + _upper_tail_quantile(neg_alpha, log_u),
+                          0.0)
 
 
 def _history_arrays(history: list[ObservationRecord]):
@@ -438,7 +392,7 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     base = Sn @ (S0_inv @ prior.m + X.T @ y0 / s2) + Gs @ lower
 
     # one block of variates per refresh, drawn before the chains run
-    U = 1.0 - rng.random((N, C, k))  # in (0, 1]
+    log_U = np.log(1.0 - rng.random((N, C, k)))  # logs of uniforms in (0, 1]
     Z = rng.standard_normal((N, C, p))
 
     # -alpha of a chain's next sweep is c + A @ e + B @ z; cz holds c + B @ z
@@ -448,7 +402,7 @@ def _gibbs_refresh_fixed(prior: PosteriorHyper, history: list[ObservationRecord]
     E = np.empty((N, C, k))
     excess = cens.excess
     for it in range(N):
-        E[it] = excess(neg_alpha, noise_sd, U[it], rng)
+        E[it] = excess(neg_alpha, log_U[it])
         neg_alpha = cz[it] + E[it] @ At
 
     # psi | e ~ N(base + sd Gs e, Sn): average the conditional moments
@@ -477,9 +431,7 @@ def online_update(hyper: PosteriorHyper, record: ObservationRecord,
     if not record.hidden:
         return conjugate_update(hyper, record.covariate, record.sales)
     if mode == "single-imputation":
-        bound, side = (record.stock, "lower") if record.censored else (0.0, "upper")
-        latent = sample_truncated_latent(hyper, record.covariate, bound, rng,
-                                         side=side)
+        latent = sample_truncated_latent(hyper, record, rng)
         return conjugate_update(hyper, record.covariate, latent)
     if mode == "gibbs-every-period":
         if prior is None or history is None:

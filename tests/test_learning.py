@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtri_exp
 from scipy.stats import norm
 
 from crgame import learning, rng as rngmod
 from crgame.learning import (ObservationRecord, PosteriorHyper, TypeBelief,
                              conjugate_update, gibbs_refresh, online_update,
                              posterior_mse, sample_truncated_latent,
-                             truncated_normal_lower, truncated_normal_upper,
-                             update_type_belief)
+                             truncated_normal_lower, update_type_belief)
 from crgame.market import DemandParams
 from oracles import batch_conjugate_posterior
 
@@ -127,13 +126,19 @@ def test_truncated_sampler_analytic_moments(case):
     assert draws.var(ddof=1) == pytest.approx(want_var, rel=0.05)
 
 
-def test_truncated_sampler_far_tail():
-    rng = rngmod.stream(23, "tail")
-    draws = truncated_normal_lower(np.zeros(2000), np.ones(2000),
-                                   np.full(2000, 9.0), rng)
-    assert draws.min() >= 9.0
-    # far-tail mean is close to cut + 1/cut
-    assert draws.mean() == pytest.approx(9.0 + 1.0 / 9.0, rel=0.05)
+@pytest.mark.parametrize("cut", [9.0, 20.0, 40.0, 100.0])
+def test_truncated_sampler_far_tail(cut):
+    # past about 37.5 sd ndtr(-cut) underflows, so only an inverse in log
+    # space reaches the cut
+    rng = rngmod.stream(23, "tail", int(cut))
+    n = 200_000
+    draws = truncated_normal_lower(np.zeros(n), np.ones(n), np.full(n, cut),
+                                   rng)
+    assert np.all(np.isfinite(draws)) and draws.min() >= cut
+    # E[Z | Z >= a] = phi(a) / Phi(-a), the inverse Mills ratio
+    want_mean = np.exp(norm.logpdf(cut) - log_ndtr(-cut))
+    se = draws.std(ddof=1) / np.sqrt(n)
+    assert abs(draws.mean() - want_mean) < 3 * se
 
 
 def test_truncated_sampler_unbounded_below_is_the_normal():
@@ -148,26 +153,25 @@ def test_truncated_sampler_unbounded_below_is_the_normal():
     assert np.mean(draws < -4.0) == pytest.approx(0.5, abs=0.005)
 
 
-def test_truncated_upper_is_reflection():
-    r1 = rngmod.stream(29, "ref")
-    r2 = rngmod.stream(29, "ref")
-    lower = truncated_normal_lower(-3.0, 2.0, 1.0, r1)
-    upper = truncated_normal_upper(3.0, 2.0, -1.0, r2)
-    assert upper == pytest.approx(-lower)
-    assert upper <= -1.0
-
-
 def test_sample_truncated_latent_respects_bounds():
     hyper = make_prior()
     x = np.array([1.0, 16.0, 16.0, 0.0])
+    stockout = ObservationRecord(x, 20.0, 20.0, True)
+    zero = ObservationRecord(x, 0.0, 40.0, False, floored=True)
+    assert (stockout.bound, zero.bound) == ((1.0, 20.0), (-1.0, 0.0))
     rng = rngmod.stream(31, "lat")
     for _ in range(100):
-        lo = sample_truncated_latent(hyper, x, 20.0, rng, side="lower")
-        hi = sample_truncated_latent(hyper, x, 0.0, rng, side="upper")
-        assert lo >= 20.0
-        assert hi <= 0.0
-    with pytest.raises(ValueError):
-        sample_truncated_latent(hyper, x, 20.0, rng, side="sideways")
+        assert sample_truncated_latent(hyper, stockout, rng) >= 20.0
+        assert sample_truncated_latent(hyper, zero, rng) <= 0.0
+    # a floored zero whose predictive mean lies 40 sd above the bound
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    tight = PosteriorHyper(PRIOR_M, 1e-10 * np.eye(4), 3.0, 40.5,
+                           fixed_sd=PRIOR_M[0] / 40.0)
+    far = ObservationRecord(x, 0.0, 40.0, False, floored=True)
+    assert float(x @ tight.m) / tight.predictive_sd(1e-10) == pytest.approx(
+        40.0, rel=1e-9)
+    draw = sample_truncated_latent(tight, far, rng)
+    assert np.isfinite(draw) and draw <= 0.0
 
 
 # -------------------------------------------------------------------- gibbs
@@ -298,16 +302,17 @@ def test_type_belief_stays_probability_vector(likelihoods):
 # ------------------------------------------------- lean Gibbs sweep parity
 
 def _general_draw(mean, sd, lower, u):
-    """``truncated_normal_lower``'s body arithmetic on given uniforms."""
-    return np.maximum(mean + sd * -ndtri(u * ndtr((mean - lower) / sd)), lower)
+    """``truncated_normal_lower``'s arithmetic on given uniforms."""
+    z = -ndtri_exp(np.log(u) + log_ndtr((mean - lower) / sd))
+    return np.maximum(mean + sd * z, lower)
 
 
 def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
     """The Gibbs refresh in coefficient space: every sweep draws the
-    latents by the general samplers' formula on its row of the uniform
-    block (the general samplers themselves past the tail cut), then the
-    coefficients and, with the variance learned, the variance. It reads the
-    same blocks as ``gibbs_refresh`` and, with the noise sd fixed, runs the
+    latents by the general sampler's formula on its row of the uniform
+    block, a floored latent by reflection, then the coefficients and, with
+    the variance learned, the variance. It reads the same blocks as
+    ``gibbs_refresh`` and, with the noise sd fixed, runs the
     same ``FIXED_CHAINS`` chains (a leading axis of its arrays). Its
     estimate is Rao-Blackwellised in coefficient space: the mean and
     covariance of the kept sweeps' conditional coefficient means, plus the
@@ -344,17 +349,10 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
     for it in range(N):
         sd = np.sqrt(sigma2) if learn else noise_sd
         mu_c, mu_f = psi @ X[cens].T, psi @ X[floored].T
-        alpha = np.concatenate(((stocks[cens] - mu_c) / sd, mu_f / sd),
-                               axis=1)
-        if alpha.size and alpha.max() > 8.0:
-            latent[:, cens] = truncated_normal_lower(mu_c, sd, stocks[cens],
-                                                     rng)
-            latent[:, floored] = truncated_normal_upper(mu_f, sd, 0.0, rng)
-        elif alpha.size:
-            latent[:, cens] = _general_draw(mu_c, sd, stocks[cens],
-                                            U[it, :, :n_cens])
-            latent[:, floored] = -_general_draw(-mu_f, sd, -0.0,
-                                                U[it, :, n_cens:])
+        latent[:, cens] = _general_draw(mu_c, sd, stocks[cens],
+                                        U[it, :, :n_cens])
+        latent[:, floored] = -_general_draw(-mu_f, sd, -0.0,
+                                            U[it, :, n_cens:])
         if not learn:
             mu = (S0_inv @ prior.m + latent @ X / sigma2) @ Sn
             psi = mu + Z[it] @ Ln.T
@@ -389,8 +387,8 @@ def _reference_gibbs(prior, history, sweeps, rng, burn_in, noise_sd=None):
 
 def crafted_history(n=24):
     """Uncensored, censored and floored records, and one censored record
-    whose stock lies about 8 noise sd past the predictive mean, so that some
-    sweeps take the far-tail path and others do not."""
+    whose stock lies about 8 noise sd past the predictive mean, a far-tail
+    row in some sweeps."""
     X, y = random_design(rngmod.stream(67, "crafted"), n)
     history = []
     for i in range(n):
@@ -432,38 +430,32 @@ def test_lean_draw_matches_general_sampler(n_cens, n_floored, tail, sd,
     np.testing.assert_array_equal(rows.rows, np.arange(1, len(history)))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
 
-    fallbacks = []
+    calls = []
 
     def counted(*args):
-        fallbacks.append(len(args[0]))
+        calls.append(len(args[0]))
         return truncated_normal_lower(*args)
 
-    # the uniforms come from a twin of the reference's generator; the
-    # far-tail fallback draws from its own twin
+    # the uniforms come from a twin of the reference's generator
     r_twin = rngmod.stream(73, "draw", n_cens, n_floored)
-    r_lean = rngmod.stream(73, "draw", n_cens, n_floored)
     r_ref = rngmod.stream(73, "draw", n_cens, n_floored)
     u = 1.0 - r_twin.random(n_cens + n_floored)
     monkeypatch.setattr(learning, "truncated_normal_lower", counted)
-    e = rows.excess((rows.SX @ psi - rows.lower) / sd, sd, u, r_lean)
+    e = rows.excess((rows.SX @ psi - rows.lower) / sd, np.log(u))
     monkeypatch.undo()
     assert np.all(e >= 0.0)
     got = rows.sign * (rows.lower + sd * e)
-    want = []
-    if n_cens:
-        want.append(truncated_normal_lower(c_mean, np.full(n_cens, sd),
-                                           stocks, r_ref))
-    if n_floored:
-        want.append(truncated_normal_upper(f_mean, np.full(n_floored, sd),
-                                           np.zeros(n_floored), r_ref))
-    np.testing.assert_allclose(
-        got, np.concatenate(want) if want else np.empty(0),
-        rtol=1e-12, atol=1e-12 * sd)
-    # same generator state after: the body reads only the given uniforms
-    used = r_twin if tail is None else r_lean
-    assert used.random() == r_ref.random()
-    # the general sampler runs only for a far-tail element, once per side
-    assert fallbacks == ([] if tail is None else [n_cens, n_floored])
+    # one general call over both sides: a floored row by reflection
+    sign = np.r_[np.ones(n_cens), -np.ones(n_floored)]
+    mean = np.r_[c_mean, f_mean]
+    lower = np.r_[stocks, np.full(n_floored, -0.0)]
+    want = sign * truncated_normal_lower(sign * mean, np.full(len(mean), sd),
+                                         lower, r_ref)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * sd)
+    # same generator state after: the general sampler draws one uniform per
+    # element, the lean draw reads only the given uniforms, far tail or not
+    assert r_twin.random() == r_ref.random()
+    assert calls == []
 
 
 @pytest.mark.parametrize("noise_sd", [4.5, None])
@@ -473,10 +465,10 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
     if not censored:
         history = [ObservationRecord(r.covariate, r.sales, np.inf, False)
                    for r in history]
-    fallbacks = []
+    calls = []
 
     def counted(*args):
-        fallbacks.append(len(args[0]))
+        calls.append(len(args[0]))
         return truncated_normal_lower(*args)
 
     r_lean, r_ref = rngmod.stream(79, "g"), rngmod.stream(79, "g")
@@ -490,9 +482,8 @@ def test_lean_gibbs_refresh_matches_reference(noise_sd, censored, monkeypatch):
     np.testing.assert_allclose(got.S, want.S, rtol=1e-10)
     np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=1e-10)
     assert r_lean.random() == r_ref.random()  # same generator state after
-    # on the censored history both the body draw and the far-tail fallback
-    # ran
-    assert (0 < len(fallbacks) < 2 * 400) if censored else not fallbacks
+    # the far-tail row is drawn from the block like every other row
+    assert calls == []
 
 
 def _edge_history(kind):
@@ -554,12 +545,12 @@ class _LoggedGenerator:
 
 @pytest.mark.parametrize("noise_sd", [4.5, None])
 def test_gibbs_refresh_draws_one_block_per_refresh(noise_sd):
-    """Without a far-tail element a refresh makes exactly three requests
-    (two with the noise sd fixed): the uniforms of every sweep (and chain),
-    the normals of every sweep, the variance draws of every sweep, and no
-    per-sweep calls to the generator."""
-    history = crafted_history()[:-1]  # without the far-tail record
-    n, p, k = len(history), 4, sum(r.censored or r.floored for r in history)
+    """A refresh makes exactly three requests (two with the noise sd
+    fixed), also with a row about 8 sd into the tail: the uniforms of every
+    sweep (and chain), the normals of every sweep, the variance draws of
+    every sweep, and no per-sweep calls to the generator."""
+    history = crafted_history()
+    n, p, k = len(history), 4, sum(r.hidden for r in history)
     N = 100 + 300
     chains = (N,) if noise_sd is None else (N, learning.FIXED_CHAINS)
     rng = _LoggedGenerator(rngmod.stream(89, "block"))
@@ -600,10 +591,10 @@ def test_online_update_runs_the_measured_chain(noise_sd):
     without chain lengths, runs ``GIBBS_CHAIN``'s burn-in + sweeps."""
     burn_in, sweeps = learning.GIBBS_CHAIN["fixed" if noise_sd else "learn"]
     chains = (learning.FIXED_CHAINS,) if noise_sd else ()
-    history = crafted_history()[:-1]  # without the far-tail record
-    k = sum(r.censored or r.floored for r in history)
+    history = crafted_history()
+    k = sum(r.hidden for r in history)
     rng = _LoggedGenerator(rngmod.stream(109, "chain"))
-    got = online_update(make_prior(noise_sd), history[-3], rng,
+    got = online_update(make_prior(noise_sd), history[-1], rng,
                         mode="gibbs-every-period", prior=make_prior(noise_sd),
                         history=history)
     assert rng.log[0][:2] == ("random", ((burn_in + sweeps, *chains, k),))
