@@ -16,8 +16,7 @@ from .learning import (ObservationRecord, PosteriorDegenerateError,
                        sample_truncated_latent, truncated_normal_lower,
                        update_type_belief)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
-                     expected_profit_closed_form,
-                     expected_sales_closed_form, forecast_rival_action,
+                     expected_profit_closed_form, forecast_rival_action,
                      predictive_draws, select_action)
 from .equilibrium import (BeliefGrid, DiscretizedDynamics, EquilibriumConfig,
                           EquilibriumModel, IterationDiagnostics,

@@ -83,10 +83,9 @@ def config_hash(config_dict: dict) -> str:
 
 SIM_DEFAULTS = {**dataclasses.asdict(SimConfig()), "policies": list(POLICIES)}
 
-# the action grid and kappa come from the simulation section; node_budget is
-# a guard of the solver, not a setting of the study
+# the action grid and kappa come from the simulation section
 EQ_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EquilibriumConfig)
-               if f.name not in ("actions", "kappa", "node_budget")}
+               if f.name not in ("actions", "kappa")}
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -206,6 +205,8 @@ def cmd_simulate(args) -> int:
         sim_config = build_sim_config(cfg)
         policies = _requested_policies(cfg)
         epoch = _env_int("SOURCE_DATE_EPOCH")
+        if epoch is not None and epoch < 0:
+            raise ConfigError(f"SOURCE_DATE_EPOCH must be >= 0, got {epoch}")
         try:  # before the study runs, so that it never fails at the end
             timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
         except (OverflowError, OSError, ValueError) as exc:

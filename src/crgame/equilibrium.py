@@ -32,6 +32,7 @@ from .market import ActionGrid, period_profit
 
 __all__ = [
     "FIRM_TYPES",
+    "NODE_BUDGET",
     "EquilibriumConfig",
     "EquilibriumModel",
     "BeliefGrid",
@@ -50,6 +51,9 @@ __all__ = [
 # the own type each firm plays, as an index into ``rival_types``: firm 1 is
 # low-cost and firm 2 high-cost
 FIRM_TYPES = (0, 1)
+
+# the most belief-grid nodes ``build_belief_grid`` accepts
+NODE_BUDGET = 50_000
 
 # how far a node's branch weights may sum from 1 for ``contraction_check``;
 # the quadrature's sums lie within 2.2e-16
@@ -94,7 +98,6 @@ class EquilibriumConfig:
     tol: float = 1e-6
     max_iter: int = 5000
     sweep_cap: int = 25
-    node_budget: int = 50_000
     refresh_trajectories: int = 0
     refresh_horizon: int = 10
 
@@ -183,10 +186,10 @@ def build_belief_grid(config: EquilibriumConfig) -> BeliefGrid:
     m0 = np.asarray(config.intercept_axis, dtype=float)
     mu = np.asarray(config.belief_axis, dtype=float)
     count = inv.size * m0.size * mu.size
-    if count > config.node_budget:
+    if count > NODE_BUDGET:
         raise ValueError(
             f"grid would have {count} nodes, above the budget of "
-            f"{config.node_budget}; reduce per-axis resolutions")
+            f"{NODE_BUDGET}; reduce per-axis resolutions")
     grids = np.meshgrid(inv, m0, mu, indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
     return BeliefGrid(inv, m0, mu, nodes)

@@ -22,7 +22,6 @@ __all__ = [
     "POLICIES",
     "BeliefState",
     "PolicyConfig",
-    "expected_sales_closed_form",
     "expected_sales_floored",
     "expected_profit_closed_form",
     "forecast_rival_action",
@@ -76,48 +75,32 @@ class PolicyConfig:
                              "rival types")
 
 
-def _norm_pdf(x):
-    return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2.0 * np.pi)
-
-
-def expected_sales_closed_form(mu, sd, stock):
-    """E[min(D, stock)] for D ~ Normal(mu, sd^2), without the zero floor."""
-    mu = np.asarray(mu, dtype=float)
+def expected_sales_floored(mu, sd, stock):
+    """E[min(max(D, 0), stock)] for D ~ Normal(mu, sd^2), broadcast: the
+    censored-normal mean of sales (Tobin 1958). E[min(D, c)] = c - ((c - mu)
+    Phi(a) + sd phi(a)), a = (c - mu) / sd, at c = stock less at c = 0."""
     if np.any(np.asarray(sd) <= 0):
         raise ValueError("sd must be positive")
-    if np.all(np.isposinf(stock)):
-        return mu if mu.ndim else float(mu)
     # imported on first use, as in ``learning``: the solver never needs scipy
     from scipy.special import ndtr
 
-    alpha = (stock - mu) / sd
-    out = stock - ((stock - mu) * ndtr(alpha) + sd * _norm_pdf(alpha))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def expected_sales_floored(mu, sd, stock):
-    """E[min(max(D, 0), stock)]: the closed form with the zero floor applied."""
-    return expected_sales_closed_form(mu, sd, stock) - expected_sales_closed_form(mu, sd, 0.0)
-
-
-def _closed_form_profits(demand_mean, sigma, quantity, price, types,
-                         inventory, salvage_on: bool) -> list:
-    """Expected one-period profit under Gaussian demand, one entry per firm
-    type, broadcast over the other arguments. Expected sales do not depend
-    on the type, so the types share one evaluation of them."""
-    stock = inventory + quantity
-    exp_sales = expected_sales_floored(demand_mean, sigma, stock)
-    exp_left = stock - exp_sales
-    return [period_profit(price, exp_sales, quantity, exp_left, firm_type,
-                          salvage_on) for firm_type in types]
+    mu, sd, stock = np.broadcast_arrays(np.asarray(mu, dtype=float), sd, stock)
+    c = np.stack([stock, np.zeros(stock.shape)])
+    a = (c - mu) / sd
+    pdf = np.exp(-0.5 * a ** 2) / np.sqrt(2.0 * np.pi)
+    capped = c - ((c - mu) * ndtr(a) + sd * pdf)
+    out = capped[0] - capped[1]
+    return float(out) if out.ndim == 0 else out
 
 
 def expected_profit_closed_form(demand_mean, sigma, quantity, price,
                                 firm_type: FirmType, inventory: float = 0.0,
                                 salvage_on: bool = True) -> float:
     """Deterministic expected one-period profit under Gaussian demand."""
-    return float(_closed_form_profits(demand_mean, sigma, quantity, price,
-                                      (firm_type,), inventory, salvage_on)[0])
+    stock = inventory + quantity
+    sales = expected_sales_floored(demand_mean, sigma, stock)
+    return float(period_profit(price, sales, quantity, stock - sales,
+                               firm_type, salvage_on))
 
 
 def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
@@ -142,22 +125,26 @@ def forecast_rival_action(state: BeliefState, config: PolicyConfig) -> Action:
 
 
 def _closed_form_grid_scores(coef_mean, sigma, config: PolicyConfig,
-                             rival_price: float, types,
-                             inventory: float = 0.0,
+                             rival_price, types, inventory=0.0,
                              rival_stockout: bool = False) -> np.ndarray:
     """Expected profit per grid action at point coefficients, one row per type.
 
-    Returns a (len(types), P * Q) array, price-major. Each cell is
-    ``expected_profit_closed_form`` at its action: both evaluate
-    ``_closed_form_profits``.
+    Returns (len(types), P * Q), price-major, each cell
+    ``expected_profit_closed_form`` at its action; with a leading axis of S
+    states on ``rival_price`` and ``inventory``, (S, len(types), P * Q).
     """
     prices = np.asarray(config.actions.prices, dtype=float)[:, None]   # (P, 1)
     quantities = np.asarray(config.actions.quantities, dtype=float)[None, :]  # (1, Q)
+    rival_price = np.asarray(rival_price, dtype=float)[..., None, None]
+    stock = np.asarray(inventory, dtype=float)[..., None, None] + quantities
     mu = (coef_mean[0] + coef_mean[1] * prices + coef_mean[2] * rival_price
           + coef_mean[3] * (1.0 if rival_stockout else 0.0))
-    return np.stack(_closed_form_profits(
-        mu, sigma, quantities, prices, types, inventory,
-        salvage_credited(config.salvage_mode))).reshape(len(types), -1)
+    sales = expected_sales_floored(mu, sigma, stock)
+    salvage_on = salvage_credited(config.salvage_mode)
+    profits = np.stack([period_profit(prices, sales, quantities, stock - sales,
+                                      firm_type, salvage_on)
+                        for firm_type in types], axis=-3)
+    return profits.reshape(profits.shape[:-2] + (-1,))
 
 
 def predictive_draws(hyper: PosteriorHyper, n: int, rng: np.random.Generator):

@@ -15,7 +15,7 @@ import numpy as np
 from . import rng as rngmod
 from .learning import (ObservationRecord, PosteriorHyper, TypeBelief,
                        online_update, posterior_mse, update_type_belief)
-from .market import (Action, ActionGrid, DemandParams, FirmType, MarketState,
+from .market import (ActionGrid, DemandParams, FirmType, MarketState,
                      covariate_vector, simulate_period)
 from .policy import (POLICIES, BeliefState, PolicyConfig,
                      _closed_form_grid_scores, select_action,
@@ -183,22 +183,23 @@ class BootstrapReport:
 
 
 def _rival_action_model(pcfg: PolicyConfig, temperature: float,
-                        posterior: PosteriorHyper, rival_inventory: float,
-                        own_last_price: float, rival_action: Action) -> np.ndarray:
-    """Likelihood of the observed rival action under each rival type.
+                        posterior: PosteriorHyper, inventory: tuple,
+                        actions: tuple) -> np.ndarray:
+    """Likelihood of each firm's rival's action under each rival type, (2, 2).
 
-    Softmax over the rival's closed-form expected-profit grid scores,
-    computed at the shared posterior mean; the rival's forecast of us is our
-    last posted price.
+    Row i is firm i's softmax over its rival's closed-form grid scores at the
+    shared posterior mean and the rival's inventory; the rival's forecast of
+    firm i is firm i's posted price. Both rows are scored in one call.
     """
     scores = _closed_form_grid_scores(
-        posterior.m, posterior.noise_sd(), pcfg, own_last_price,
-        pcfg.rival_types, inventory=rival_inventory)
+        posterior.m, posterior.noise_sd(), pcfg,
+        [actions[0].price, actions[1].price], pcfg.rival_types,
+        inventory=[inventory[1], inventory[0]])
     logits = scores / temperature
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=2, keepdims=True)
     weights = np.exp(logits)
-    k = pcfg.actions.index(rival_action)
-    return weights[:, k] / weights.sum(axis=1)
+    k = [pcfg.actions.index(actions[1]), pcfg.actions.index(actions[0])]
+    return weights[[0, 1], :, k] / weights.sum(axis=2)
 
 
 def run_replication(config: SimConfig, policy: str, rep_index: int) -> ReplicationRecord:
@@ -263,10 +264,11 @@ def run_replication(config: SimConfig, policy: str, rep_index: int) -> Replicati
                     posterior, record,
                     stream(i, t, "impute") if record.hidden else None,
                     mode=config.learning_mode, prior=prior, history=history)
-            beliefs = [update_type_belief(beliefs[i], _rival_action_model(
+            likelihood = _rival_action_model(
                 pcfg, config.type_likelihood_temperature, posterior,
-                state.inventory[1 - i], actions[i].price, actions[1 - i]))
-                for i in (0, 1)]
+                state.inventory, actions)
+            beliefs = [update_type_belief(beliefs[i], likelihood[i])
+                       for i in (0, 1)]
 
         rows.append(([a.price for a in actions], [a.quantity for a in actions],
                      [o.sales for o in outcomes], [o.stockout for o in outcomes],

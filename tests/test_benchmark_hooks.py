@@ -68,6 +68,74 @@ def test_child_reads_only_attributes_that_exist():
     assert missing == []
 
 
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+# the local modules the scripts import: each other and the test oracles
+LOCAL_MODULES = {os.path.splitext(name)[0]: os.path.join(BENCHMARKS, name)
+                 for name in os.listdir(BENCHMARKS) if name.endswith(".py")}
+LOCAL_MODULES["oracles"] = os.path.join(ROOT, "tests", "oracles.py")
+
+
+def _top_level_names(path) -> set:
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def _script_references(path) -> set:
+    """Every (module, name) a script imports from ``crgame`` or a local
+    module, and every attribute it reads off a ``crgame`` module it bound."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                refs.add((node.module, alias.name))
+                if node.module.startswith("crgame"):
+                    bound[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            bound.update({a.asname: a.name for a in node.names
+                          if a.name.startswith("crgame.") and a.asname})
+    refs |= {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in bound}
+    return {(module, name) for module, name in refs
+            if module.split(".")[0] == "crgame" or module in LOCAL_MODULES}
+
+
+@pytest.mark.parametrize("script", sorted(
+    name for name in os.listdir(BENCHMARKS) if name.endswith(".py")))
+def test_benchmark_script_reads_only_names_that_exist(script):
+    """The layer scripts reach private names (``equilibrium._evaluate_policy``,
+    ``learning.GIBBS_CHAIN``, ``tests/oracles.py``) that no other test
+    runs them against, so a rename would break them silently."""
+    refs = _script_references(os.path.join(BENCHMARKS, script))
+    assert any(module.startswith("crgame") for module, _ in refs)
+    missing = []
+    for module, name in sorted(refs):
+        if module in LOCAL_MODULES:
+            found = name in _top_level_names(LOCAL_MODULES[module])
+        else:
+            target = importlib.import_module(module)
+            found = hasattr(target, name) or (  # a submodule not yet imported
+                hasattr(target, "__path__")
+                and importlib.util.find_spec(f"{module}.{name}") is not None)
+        if not found:
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
 def test_make_refs_reads_only_equilibrium_defaults_that_exist():
     """``make_refs.py`` reads solver settings from ``cli.EQ_DEFAULTS``,
     directly or through a dict built from it."""

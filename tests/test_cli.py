@@ -316,9 +316,10 @@ def test_non_integer_env_seed_is_a_config_error(outdir, tmp_path, monkeypatch,
 def test_non_integer_source_date_epoch_is_a_config_error(tmp_path):
     # a fresh interpreter: the variable is read, and the manifest's
     # timestamp formatted, before any replication runs; an integer past the
-    # platform's time_t is as much a config error as a non-integer
+    # platform's time_t, or a negative one, is as much a config error as a
+    # non-integer
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    for epoch in ("abc", "99999999999999999999"):
+    for epoch in ("abc", "99999999999999999999", "-1", "-99999999999999"):
         env = dict(os.environ, PYTHONPATH=src, SOURCE_DATE_EPOCH=epoch)
         out = tmp_path / "o"
         proc = subprocess.run(

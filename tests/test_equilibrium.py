@@ -678,6 +678,8 @@ def test_refresh_without_rng_rejected():
 
 
 def test_node_budget_enforced():
-    config = make_config(node_budget=4)
-    with pytest.raises(ValueError):
-        build_belief_grid(config)
+    # 3 x 3 x (NODE_BUDGET // 9 + 1) nodes; the count is checked before any
+    # meshgrid is built
+    belief = tuple(np.linspace(0.0, 1.0, equilibrium.NODE_BUDGET // 9 + 1))
+    with pytest.raises(ValueError, match="above the budget"):
+        build_belief_grid(make_config(belief_axis=belief))

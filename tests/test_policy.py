@@ -10,8 +10,7 @@ from crgame.learning import PosteriorHyper, TypeBelief
 from crgame.market import Action, ActionGrid, FirmType
 from crgame.policy import (POLICIES, BeliefState, PolicyConfig,
                            _closed_form_grid_scores,
-                           expected_profit_closed_form,
-                           expected_sales_closed_form, expected_sales_floored,
+                           expected_profit_closed_form, expected_sales_floored,
                            forecast_rival_action, predictive_draws,
                            select_action, static_prior_scores)
 from crgame.simharness import SimConfig
@@ -66,8 +65,32 @@ def test_expected_sales_closed_form_vs_monte_carlo(case):
     assert abs(got - sim.mean()) < 4 * se
 
 
-def test_expected_sales_unbounded_stock():
-    assert expected_sales_closed_form(25.0, 4.5, np.inf) == pytest.approx(25.0)
+def _capped_sales(mu, sd, cap):
+    """E[min(D, cap)] as the closed form computed it when the floored sales
+    were two calls of an unfloored function, one at ``cap``, one at 0."""
+    from scipy.special import ndtr
+
+    alpha = (cap - mu) / sd
+    pdf = np.exp(-0.5 * np.asarray(alpha) ** 2) / np.sqrt(2.0 * np.pi)
+    return cap - ((cap - mu) * ndtr(alpha) + sd * pdf)
+
+
+def test_expected_sales_floored_equals_two_call_composition():
+    rng = rngmod.stream(73, "floored")
+    n = 10_000
+    mu = rng.uniform(-60.0, 120.0, n)
+    sd = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), n))
+    stock = rng.uniform(0.0, 100.0, n)
+    stock[::10] = 0.0
+    sd[:5] = 1e-3
+    want = _capped_sales(mu, sd, stock) - _capped_sales(mu, sd, 0.0)
+    np.testing.assert_array_equal(expected_sales_floored(mu, sd, stock), want)
+    # scalar arguments, and one array argument against scalar others
+    for i in range(0, n, 97):
+        assert expected_sales_floored(mu[i], sd[i], stock[i]) == want[i]
+    np.testing.assert_array_equal(
+        expected_sales_floored(mu, 4.5, 30.0),
+        _capped_sales(mu, 4.5, 30.0) - _capped_sales(mu, 4.5, 0.0))
 
 
 def test_expected_profit_closed_form_decomposition():
@@ -149,8 +172,24 @@ def test_closed_form_grid_scores_match_scalar_loop():
     high = FirmType(c=10.0, h=0.8, s=1.5)
     for salvage_mode in ("per-period", "terminal"):
         config = make_config(salvage_mode=salvage_mode)
-        for inventory in (0.0, 7.25):
-            for rival_stockout in (False, True):
+        for rival_stockout in (False, True):
+            # a leading axis of states: each slice is its own scalar call
+            for n_states in (2, 7):
+                rng = rngmod.stream(79, "states", n_states)
+                rival_prices = rng.choice(PRICE_GRID, n_states)
+                inventories = rng.uniform(0.0, 30.0, n_states)
+                inventories[0] = 0.0
+                batch = _closed_form_grid_scores(
+                    coef_mean, 4.5, config, rival_prices, (LOW, high),
+                    inventory=inventories, rival_stockout=rival_stockout)
+                assert batch.shape == (n_states, 2, len(PRICE_GRID) * len(QTY_GRID))
+                for s, (rp, inv) in enumerate(zip(rival_prices, inventories)):
+                    np.testing.assert_array_equal(
+                        batch[s], _closed_form_grid_scores(
+                            coef_mean, 4.5, config, float(rp), (LOW, high),
+                            inventory=float(inv),
+                            rival_stockout=rival_stockout))
+            for inventory in (0.0, 7.25):
                 got = _closed_form_grid_scores(
                     coef_mean, 4.5, config, 11.0, (LOW, high),
                     inventory=inventory, rival_stockout=rival_stockout)

@@ -141,6 +141,50 @@ def test_static_replication_scores_the_grid_once_per_firm(monkeypatch):
     assert len(calls) == 2
 
 
+def test_rival_action_model_rows_are_per_firm_softmax():
+    """Row i of the (2, 2) likelihood is firm i's softmax over its rival's
+    grid scores, scored from one scalar-state call per firm."""
+    cfg = small_config()
+    pcfg = cfg.policy_config()
+    grid = pcfg.actions
+    prior = cfg.prior_hyper()
+    rng = rngmod.stream(83, "rival-model")
+    for case in range(12):
+        posterior = learning.PosteriorHyper(
+            prior.m + rng.normal(0.0, [3.0, 0.5, 0.5, 1.0]), prior.S,
+            prior.a, prior.b, prior.fixed_sd)
+        inventory = (0.0, 0.0) if case == 0 else tuple(rng.uniform(0, 40, 2))
+        actions = tuple(grid.action(k) for k in rng.integers(
+            0, len(grid.prices) * len(grid.quantities), 2))
+        temperature = float(rng.choice([0.5, 1.0, 4.0]))
+        got = simharness._rival_action_model(pcfg, temperature, posterior,
+                                             inventory, actions)
+        assert got.shape == (2, 2)
+        for i in (0, 1):
+            scores = policy._closed_form_grid_scores(
+                posterior.m, posterior.noise_sd(), pcfg, actions[i].price,
+                pcfg.rival_types, inventory=inventory[1 - i])
+            logits = scores / temperature
+            logits -= logits.max(axis=1, keepdims=True)
+            weights = np.exp(logits)
+            k = grid.index(actions[1 - i])
+            np.testing.assert_array_equal(
+                got[i], weights[:, k] / weights.sum(axis=1))
+
+
+def test_learning_period_scores_both_rivals_in_one_call(monkeypatch):
+    calls = []
+    model = simharness._rival_action_model
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return model(*args, **kwargs)
+
+    monkeypatch.setattr(simharness, "_rival_action_model", counted)
+    run_replication(small_config(horizon=5), "bayesian-risk-neutral", 0)
+    assert len(calls) == 5
+
+
 def test_static_replication_calls_select_action_zero_times(monkeypatch):
     """The static policy decides once per replication, not per period."""
     calls = []
